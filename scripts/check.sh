@@ -2,12 +2,15 @@
 # Full pre-merge check: the tier-1 verify from ROADMAP.md, then a
 # ThreadSanitizer build of the concurrency-sensitive suites (the comm
 # layer, the enactor's control threads, fault paths, and the stream
-# stress tests). Usage: scripts/check.sh [build-dir] [tsan-build-dir]
+# stress tests), then an AddressSanitizer + UndefinedBehaviorSanitizer
+# build of the multi-source, serve and stream-stress suites.
+# Usage: scripts/check.sh [build-dir] [tsan-build-dir] [asan-build-dir]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD="${1:-build}"
 TSAN_BUILD="${2:-build-tsan}"
+ASAN_BUILD="${3:-build-asan}"
 
 echo "==> tier-1: configure + build + ctest"
 cmake -B "$BUILD" -S .
@@ -156,5 +159,19 @@ TSAN_FILTER+=':Supervisor.*:ServeChaos.*'
 # thread and bumps the link-split/gateway atomics.
 TSAN_FILTER+=':TwoLevel.*:Hierarchy.*'
 "$TSAN_BUILD/tests/mgg_tests" --gtest_filter="$TSAN_FILTER"
+
+echo "==> asan+ubsan: build mgg_tests with -fsanitize=address,undefined"
+cmake -B "$ASAN_BUILD" -S . \
+  -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined -fno-omit-frame-pointer -D_GLIBCXX_ASSERTIONS" \
+  -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
+cmake --build "$ASAN_BUILD" -j --target mgg_tests
+
+echo "==> asan+ubsan: multi-source / serve / stream-stress suites"
+# The multi-source primitives read vertex-major MsSssp rows in padded
+# 16-byte groups and reset only the occupied slots; the serve and
+# stream-stress suites reuse one Problem across batches of different
+# occupancy, so an out-of-row read or a stale-slot read surfaces here.
+"$ASAN_BUILD/tests/mgg_tests" --gtest_filter='MsBfs.*:Serve*:StreamStress.*'
 
 echo "==> check.sh: all green"

@@ -31,12 +31,19 @@
 // advance). Distances converge to the same unique least fixpoint as
 // individual runs, hence bit-identical results there too.
 //
+// A batch pays for its occupied slots, not for the Problem's width:
+// reset touches only the k = sources().size() occupied slots, and
+// MsSssp ships k distance associates per pushed vertex, so a k-source
+// batch on a width-64 Problem models the same W and H as a width-k
+// run. MsSssp stores distances vertex-major (one row of k floats,
+// padded to a multiple of 4, per vertex), so an edge relaxes src's row
+// against dst's row four slots at a time.
+//
 // The serve layer (src/serve/) packs point queries into these batches;
 // docs/architecture.md §13 has the state-split and batching story.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -60,8 +67,10 @@ struct MaskSlice {
 
 /// Common half of the multi-source Problems: a fixed batch width
 /// (slot capacity, allocation-time) and the per-run source list
-/// (reset-time; may be shorter than width — partial batches leave the
-/// tail slots permanently unreached).
+/// (reset-time; may be shorter than width). Only the occupied slots
+/// [0, sources().size()) carry state: reset leaves the tail slots'
+/// values untouched, no mask word ever sets their bits, and the
+/// per-slot readers reject them.
 class MsProblemBase : public core::ProblemBase {
  public:
   explicit MsProblemBase(int width);
@@ -73,6 +82,15 @@ class MsProblemBase : public core::ProblemBase {
 
   MaskSlice& mask_slice(int gpu) { return mask_slices_[gpu]; }
 
+  /// Prepare a batched traversal from `srcs` (1..width() sources):
+  /// zero all mask state, record `srcs`, clear the occupied slots'
+  /// values, and set slot bits — mask on every local copy of each
+  /// source (so no GPU re-discovers it), and update_next on every copy
+  /// (swapped into update_cur by the enactor's begin_iteration(0) —
+  /// iteration 0 reads the seeds there) — stamping the slot's seed
+  /// value (depth 0 / distance 0) on the same copies.
+  void reset(std::span<const VertexT> srcs);
+
   /// Unique (host_gpu -> host-local IDs) seed lists for the current
   /// sources, ready for seed_frontier (slot order, deduplicated).
   std::vector<std::vector<VertexT>> seed_lists() const;
@@ -81,20 +99,49 @@ class MsProblemBase : public core::ProblemBase {
   /// Allocate the mask/update words for `gpu` (called from the derived
   /// init_data_slice alongside its own arrays).
   void init_mask_slice(int gpu);
-  /// Zero all mask state, record `srcs`, and set slot bits: mask on
-  /// every local copy of each source (so no GPU re-discovers it), and
-  /// update_next on every copy (swapped into update_cur by the
-  /// enactor's begin_iteration(0) — iteration 0 reads the seeds there).
-  /// `per_copy(slot, gpu, lv)` lets the derived reset stamp its own
-  /// per-slot value (depth 0 / distance 0) on the same copies.
-  void reset_masks(
-      std::span<const VertexT> srcs,
-      const std::function<void(int slot, int gpu, VertexT lv)>& per_copy);
+  /// Reject slots outside the current run's occupied range.
+  void require_occupied(int slot) const;
+  /// Reset hooks: unreach every vertex in the occupied slots (the
+  /// sources are already recorded), then seed one copy of one source.
+  virtual void clear_slot_values() = 0;
+  virtual void seed_slot_value(int slot, int gpu, VertexT lv) = 0;
 
  private:
   int width_ = 0;
   std::vector<VertexT> sources_;
   std::vector<MaskSlice> mask_slices_;
+};
+
+/// Mask-word half of the multi-source Enactors: reset + seeding, the
+/// level-synchronous update-word swap, and the update word's transport.
+class MsEnactorBase : public core::EnactorBase {
+ public:
+  explicit MsEnactorBase(MsProblemBase& problem)
+      : core::EnactorBase(problem), ms_base_(problem) {}
+
+  /// Reset problem data and seed every source's host GPU.
+  void reset(std::span<const VertexT> srcs);
+
+ protected:
+  /// The update word as lo/hi VertexT slots (bit-exact transport).
+  int num_vertex_associates() const override { return 2; }
+  void fill_vertex_associates(Slice& s, int slot,
+                              std::span<const VertexT> sources,
+                              VertexT* out) override;
+  /// Swap update_cur/update_next and clear the new next on every GPU
+  /// (single-threaded between supersteps); charges the clear as one
+  /// memset-shaped kernel per GPU.
+  void begin_iteration(std::uint64_t iteration) override;
+  /// Word-mask visitation is order-independent within an iteration
+  /// (mask ORs and min-relaxations are monotone).
+  bool dense_frontier_capable() const override { return true; }
+  /// Single advance whose allocation precedes the functors; mask/depth
+  /// writes are monotone/first-writer-wins and distance writes are
+  /// monotone min-relaxations, so replay is safe.
+  bool core_replayable() const override { return true; }
+
+ private:
+  MsProblemBase& ms_base_;
 };
 
 // ------------------------------------------------------------------
@@ -106,49 +153,35 @@ class MsBfsProblem : public MsProblemBase {
   using MsProblemBase::MsProblemBase;
 
   /// Per-GPU data beyond the mask words: slot-major per-slot depths
-  /// (depth of local vertex lv for slot i lives at i * num_total + lv).
+  /// (slot i's row is depth[i * num_total, (i + 1) * num_total)).
+  /// Reset refills only the occupied rows; read through depth_at().
   struct DataSlice {
     util::Array1D<VertexT> depth{"msbfs.depth"};
   };
 
   DataSlice& data(int gpu) { return slices_[gpu]; }
 
-  /// Prepare a batched traversal from `srcs` (1..width() sources).
-  void reset(std::span<const VertexT> srcs);
+  /// Slot `slot`'s BFS depth of local vertex `lv` on `gpu`
+  /// (kInvalidVertex if unreached); slot must be occupied.
+  VertexT depth_at(int gpu, int slot, VertexT lv) const;
 
  protected:
   void init_data_slice(int gpu) override;
+  void clear_slot_values() override;
+  void seed_slot_value(int slot, int gpu, VertexT lv) override;
 
  private:
   std::vector<DataSlice> slices_;
 };
 
-class MsBfsEnactor : public core::EnactorBase {
+class MsBfsEnactor : public MsEnactorBase {
  public:
   explicit MsBfsEnactor(MsBfsProblem& problem)
-      : core::EnactorBase(problem), ms_problem_(problem) {}
-
-  /// Reset problem data and seed every source's host GPU.
-  void reset(std::span<const VertexT> srcs);
+      : MsEnactorBase(problem), ms_problem_(problem) {}
 
  protected:
   void iteration_core(Slice& s) override;
-  /// The update word as lo/hi VertexT slots (bit-exact transport).
-  int num_vertex_associates() const override { return 2; }
-  void fill_vertex_associates(Slice& s, int slot,
-                              std::span<const VertexT> sources,
-                              VertexT* out) override;
   void expand_incoming(Slice& s, const core::Message& msg) override;
-  /// Swap update_cur/update_next and clear the new next on every GPU
-  /// (single-threaded between supersteps); charges the clear as one
-  /// memset-shaped kernel per GPU.
-  void begin_iteration(std::uint64_t iteration) override;
-  /// Word-mask visitation is order-independent within an iteration
-  /// (mask ORs are monotone), like BFS's label stamps.
-  bool dense_frontier_capable() const override { return true; }
-  /// Single advance whose allocation precedes the functors; mask/depth
-  /// writes are monotone/first-writer-wins, so replay is safe.
-  bool core_replayable() const override { return true; }
 
  private:
   MsBfsProblem& ms_problem_;
@@ -181,47 +214,50 @@ class MsSsspProblem : public MsProblemBase {
  public:
   using MsProblemBase::MsProblemBase;
 
-  /// Slot-major per-slot tentative distances (slot i, local lv at
-  /// i * num_total + lv; infinity() = unreached).
+  /// Vertex-major per-slot tentative distances: local vertex lv's row
+  /// is dist[lv * row_stride(), (lv + 1) * row_stride()), slot i at
+  /// offset i (infinity() = unreached). Allocated for round_up(width,
+  /// 4) floats per vertex; reset sizes the rows to the occupied slots.
+  /// Read through dist_at().
   struct DataSlice {
     util::Array1D<ValueT> dist{"mssssp.dist"};
   };
 
   DataSlice& data(int gpu) { return slices_[gpu]; }
 
-  void reset(std::span<const VertexT> srcs);
+  /// Floats per vertex row: sources().size() rounded up to 4, so every
+  /// row is whole 16-byte groups and padding lanes hold infinity().
+  std::size_t row_stride() const noexcept { return row_stride_; }
+
+  /// Slot `slot`'s tentative distance of local vertex `lv` on `gpu`;
+  /// slot must be occupied.
+  ValueT dist_at(int gpu, int slot, VertexT lv) const;
 
  protected:
   void init_data_slice(int gpu) override;
+  void clear_slot_values() override;
+  void seed_slot_value(int slot, int gpu, VertexT lv) override;
 
  private:
   std::vector<DataSlice> slices_;
+  std::size_t row_stride_ = 0;
 };
 
-class MsSsspEnactor : public core::EnactorBase {
+class MsSsspEnactor : public MsEnactorBase {
  public:
   explicit MsSsspEnactor(MsSsspProblem& problem)
-      : core::EnactorBase(problem), ms_problem_(problem) {}
-
-  void reset(std::span<const VertexT> srcs);
+      : MsEnactorBase(problem), ms_problem_(problem) {}
 
  protected:
   void iteration_core(Slice& s) override;
-  int num_vertex_associates() const override { return 2; }
-  /// One ValueT slot per batch slot: the sender's tentative distance.
-  /// Receivers min-combine only the slots set in the update word.
+  /// One ValueT slot per occupied batch slot: the sender's tentative
+  /// distance. Receivers min-combine only the slots set in the update
+  /// word, which are always occupied.
   int num_value_associates() const override;
-  void fill_vertex_associates(Slice& s, int slot,
-                              std::span<const VertexT> sources,
-                              VertexT* out) override;
   void fill_value_associates(Slice& s, int slot,
                              std::span<const VertexT> sources,
                              ValueT* out) override;
   void expand_incoming(Slice& s, const core::Message& msg) override;
-  void begin_iteration(std::uint64_t iteration) override;
-  bool dense_frontier_capable() const override { return true; }
-  /// Monotone min-relaxations: replay-safe, as in SSSP.
-  bool core_replayable() const override { return true; }
 
  private:
   MsSsspProblem& ms_problem_;

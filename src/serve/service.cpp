@@ -418,14 +418,12 @@ std::vector<QueryResult> QueryService::execute(
       r.attempts = attempt + 1;
       r.latency_ms = done_ms - admit_ms[m.query_index];
       const auto [gpu, lv] = lane.bfs_problem->locate(q.dst);
-      const std::size_t stride = pg_->sub(gpu).num_total();
-      const std::size_t at = static_cast<std::size_t>(m.slot) * stride + lv;
       if (batch.sssp) {
-        const ValueT d = lane.sssp_problem->data(gpu).dist[at];
+        const ValueT d = lane.sssp_problem->dist_at(gpu, m.slot, lv);
         r.dist = d;
         r.reachable = d < kInf;
       } else {
-        const VertexT d = lane.bfs_problem->data(gpu).depth[at];
+        const VertexT d = lane.bfs_problem->depth_at(gpu, m.slot, lv);
         r.depth = d;
         r.reachable = d != kInvalidVertex;
       }

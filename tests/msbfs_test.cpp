@@ -196,6 +196,138 @@ TEST(MsBfs, SsspPartialAndDuplicateBatches) {
   expect_sssp_matches(result, srcs, "sssp duplicates");
 }
 
+TEST(MsBfs, OneHopDuplicationBatches) {
+  // Duplicate-1-hop: sources seed their 1-hop proxies (found by binary
+  // search over each GPU's sorted proxy tail) and pushes carry only
+  // border vertices, so both the reset placement and the selective
+  // route path differ from duplicate-all.
+  for (const int gpus : {2, 4}) {
+    for (const std::size_t width :
+         {std::size_t{prim::kMaxBatchWidth}, std::size_t{7}}) {
+      for (const bool auto_wire : {false, true}) {
+        core::Config cfg = cell_config({gpus, false, auto_wire});
+        cfg.duplication = part::Duplication::kOneHop;
+        const std::string where =
+            "1hop/width=" + std::to_string(width) + "/" +
+            cell_name({gpus, false, auto_wire});
+        auto machine = test::test_machine(gpus);
+        const auto bfs_srcs = pick_sources(bfs_graph(), width, 3000 + width);
+        expect_bfs_matches(prim::run_msbfs(bfs_graph(), bfs_srcs, machine, cfg),
+                           bfs_srcs, where);
+        const auto sssp_srcs =
+            pick_sources(sssp_graph(), width, 4000 + width);
+        expect_sssp_matches(
+            prim::run_msssp(sssp_graph(), sssp_srcs, machine, cfg), sssp_srcs,
+            where);
+      }
+    }
+  }
+}
+
+void expect_same_run(const vgpu::RunStats& want, const vgpu::RunStats& got,
+                     const std::string& where) {
+  EXPECT_EQ(want.iterations, got.iterations) << where;
+  EXPECT_EQ(want.total_edges, got.total_edges) << where;
+  EXPECT_EQ(want.total_comm_items, got.total_comm_items) << where;
+  EXPECT_EQ(want.total_comm_bytes, got.total_comm_bytes) << where;
+  EXPECT_EQ(want.modeled_compute_s, got.modeled_compute_s) << where;
+  EXPECT_EQ(want.modeled_comm_s, got.modeled_comm_s) << where;
+}
+
+TEST(MsBfs, PartialBatchCostsMatchNarrowRun) {
+  // A k-source batch on a width-64 Problem pays for its k occupied
+  // slots only: answers and every W/H counter and modeled time equal a
+  // width-k run's (value associates ship k distances, not 64).
+  for (const std::size_t k : {std::size_t{1}, std::size_t{5},
+                              std::size_t{63}}) {
+    for (const bool pipeline : {false, true}) {
+      const Cell cell{4, pipeline, pipeline};
+      const core::Config cfg = cell_config(cell);
+      const std::string where =
+          "k=" + std::to_string(k) + "/" + cell_name(cell);
+      {
+        const auto srcs = pick_sources(bfs_graph(), k, 5000 + k);
+        auto machine = test::test_machine(4);
+        const auto narrow = prim::run_msbfs(bfs_graph(), srcs, machine, cfg);
+        prim::MsBfsProblem problem(prim::kMaxBatchWidth);
+        problem.init(bfs_graph(), machine, cfg);
+        prim::MsBfsEnactor enactor(problem);
+        enactor.reset(srcs);
+        expect_same_run(narrow.stats, enactor.enact(), "bfs " + where);
+        const auto& pg = problem.partitioned();
+        for (int slot = 0; slot < static_cast<int>(k); ++slot) {
+          const auto want = narrow.slot(slot, pg.global_vertices());
+          for (VertexT v = 0; v < pg.global_vertices(); ++v) {
+            ASSERT_EQ(want[v], problem.depth_at(pg.owner_of(v), slot,
+                                                pg.host_local_of(v)))
+                << "bfs " << where << " slot " << slot << " vertex " << v;
+          }
+        }
+      }
+      {
+        const auto srcs = pick_sources(sssp_graph(), k, 6000 + k);
+        auto machine = test::test_machine(4);
+        const auto narrow = prim::run_msssp(sssp_graph(), srcs, machine, cfg);
+        prim::MsSsspProblem problem(prim::kMaxBatchWidth);
+        problem.init(sssp_graph(), machine, cfg);
+        prim::MsSsspEnactor enactor(problem);
+        enactor.reset(srcs);
+        expect_same_run(narrow.stats, enactor.enact(), "sssp " + where);
+        const auto& pg = problem.partitioned();
+        for (int slot = 0; slot < static_cast<int>(k); ++slot) {
+          const auto want = narrow.slot(slot, pg.global_vertices());
+          for (VertexT v = 0; v < pg.global_vertices(); ++v) {
+            ASSERT_EQ(want[v], problem.dist_at(pg.owner_of(v), slot,
+                                               pg.host_local_of(v)))
+                << "sssp " << where << " slot " << slot << " vertex " << v;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(MsBfs, FullBatchCountersArePinned) {
+  // Full 64-slot batches: S, W and H (items and bytes) pinned to their
+  // recorded values, so a change to the slot layout or the relaxation
+  // kernel that shifts any improved mask shows up here even when the
+  // answers still converge to the same fixpoint.
+  struct Golden {
+    int gpus;
+    bool auto_wire;
+    std::uint64_t bfs[4];   // iterations, edges, comm items, comm bytes
+    std::uint64_t sssp[4];
+  };
+  const Golden goldens[] = {
+      {2, false, {5, 7967, 556, 6672}, {10, 16021, 1212, 324816}},
+      {2, true, {5, 7967, 556, 5138}, {10, 16021, 1212, 321507}},
+      {4, false, {5, 7967, 1381, 16572}, {10, 16635, 3023, 810164}},
+      {4, true, {5, 7967, 1381, 12896}, {10, 16635, 3023, 802195}},
+  };
+  const auto bfs_srcs = pick_sources(bfs_graph(), prim::kMaxBatchWidth, 42);
+  const auto sssp_srcs = pick_sources(sssp_graph(), prim::kMaxBatchWidth, 43);
+  for (const Golden& gold : goldens) {
+    const Cell cell{gold.gpus, false, gold.auto_wire};
+    auto machine = test::test_machine(gold.gpus);
+    const auto b =
+        prim::run_msbfs(bfs_graph(), bfs_srcs, machine, cell_config(cell));
+    const auto s =
+        prim::run_msssp(sssp_graph(), sssp_srcs, machine, cell_config(cell));
+    const std::uint64_t got_bfs[4] = {b.stats.iterations, b.stats.total_edges,
+                                      b.stats.total_comm_items,
+                                      b.stats.total_comm_bytes};
+    const std::uint64_t got_sssp[4] = {s.stats.iterations,
+                                       s.stats.total_edges,
+                                       s.stats.total_comm_items,
+                                       s.stats.total_comm_bytes};
+    for (int i = 0; i < 4; ++i) {
+      EXPECT_EQ(gold.bfs[i], got_bfs[i]) << cell_name(cell) << " bfs #" << i;
+      EXPECT_EQ(gold.sssp[i], got_sssp[i])
+          << cell_name(cell) << " sssp #" << i;
+    }
+  }
+}
+
 TEST(MsBfs, BatchedRunAmortizesWorkAndComm) {
   // The point of the batch: one 64-source traversal must model far
   // less W+H than 64 individual traversals (the bench gates >= 3x on
@@ -228,6 +360,11 @@ TEST(MsBfs, RejectsInvalidBatches) {
   const std::vector<VertexT> out_of_range = {
       static_cast<VertexT>(bfs_graph().num_vertices)};
   EXPECT_THROW(enactor.reset(out_of_range), Error);
+  // Slots past the current batch's occupancy carry no answer.
+  enactor.reset(std::vector<VertexT>{0, 1});
+  EXPECT_NO_THROW(problem.depth_at(0, 1, 0));
+  EXPECT_THROW(problem.depth_at(0, 2, 0), Error);
+  EXPECT_THROW(problem.depth_at(0, -1, 0), Error);
 }
 
 }  // namespace

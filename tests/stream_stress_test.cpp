@@ -372,24 +372,29 @@ TEST(StreamStress, InjectedHandshakeStallAbortReleasesBlockedWaiters) {
 // Serving reuses one Problem/Enactor pair for many back-to-back
 // enactments (reset + enact per batch). Pooled per-query state —
 // frontier dense flags, operator dedup bitmaps, comm-bus epochs,
-// mask/update words — must carry nothing across runs: every reused
-// run must be bit-identical to a fresh-instance run of the same batch.
-TEST(StreamStress, BackToBackEnactmentsCarryNoState) {
-  const auto g = test::small_rmat();
+// mask/update words, per-slot depth/distance rows — must carry nothing
+// across runs: every reused run must be bit-identical to a
+// fresh-instance run of the same batch.
+template <typename Problem, typename Enactor, typename RunFresh,
+          typename ReadSlot>
+void expect_reuse_matches_fresh(const graph::Graph& g, RunFresh run_fresh,
+                                ReadSlot read_slot) {
   auto cfg = test::config_for(4);
   // Dense mode on: the dense frontier flags are exactly the kind of
   // pooled state a stale run could leak through.
   cfg.dense_threshold = 0.25;
   auto machine = test::test_machine(4);
-  prim::MsBfsProblem problem(prim::kMaxBatchWidth);
+  Problem problem(prim::kMaxBatchWidth);
   problem.init(g, machine, cfg);
-  prim::MsBfsEnactor enactor(problem);
+  Enactor enactor(problem);
+  const auto& pg = problem.partitioned();
 
   util::Rng rng(99);
-  for (int round = 0; round < 6; ++round) {
-    // Alternate widths so a wide run precedes a narrow one — stale
-    // high-slot state from round k would corrupt round k+1.
-    const std::size_t width = (round % 2 == 0) ? 64 : 3;
+  int round = 0;
+  // Alternate widths so a wide run precedes a narrow one — stale
+  // high-slot rows or value associates from a 64-wide batch would
+  // corrupt the 1- or 7-wide batch after it.
+  for (const std::size_t width : {64, 1, 64, 7, 64, 3}) {
     std::vector<VertexT> srcs;
     for (std::size_t i = 0; i < width; ++i) {
       srcs.push_back(static_cast<VertexT>(rng.next_below(g.num_vertices)));
@@ -398,26 +403,40 @@ TEST(StreamStress, BackToBackEnactmentsCarryNoState) {
     const auto reused_stats = enactor.enact();
 
     auto fresh_machine = test::test_machine(4);
-    const auto fresh = prim::run_msbfs(g, srcs, fresh_machine, cfg);
+    const auto fresh = run_fresh(g, srcs, fresh_machine, cfg);
     EXPECT_EQ(fresh.stats.iterations, reused_stats.iterations)
         << "round " << round;
     EXPECT_EQ(fresh.stats.total_edges, reused_stats.total_edges)
         << "round " << round;
     EXPECT_EQ(fresh.stats.total_comm_bytes, reused_stats.total_comm_bytes)
         << "round " << round;
-    const auto& pg = problem.partitioned();
     for (std::size_t slot = 0; slot < width; ++slot) {
       const auto want = fresh.slot(static_cast<int>(slot), g.num_vertices);
       for (VertexT v = 0; v < g.num_vertices; ++v) {
-        const int gpu = pg.owner_of(v);
-        const std::size_t stride = pg.sub(gpu).num_total();
-        const VertexT got =
-            problem.data(gpu).depth[slot * stride + pg.host_local_of(v)];
-        ASSERT_EQ(want[v], got)
+        ASSERT_EQ(want[v], read_slot(problem, pg.owner_of(v),
+                                     static_cast<int>(slot),
+                                     pg.host_local_of(v)))
             << "round " << round << " slot " << slot << " vertex " << v;
       }
     }
+    ++round;
   }
+}
+
+TEST(StreamStress, BackToBackEnactmentsCarryNoState) {
+  expect_reuse_matches_fresh<prim::MsBfsProblem, prim::MsBfsEnactor>(
+      test::small_rmat(), prim::run_msbfs,
+      [](const prim::MsBfsProblem& p, int gpu, int slot, VertexT lv) {
+        return p.depth_at(gpu, slot, lv);
+      });
+}
+
+TEST(StreamStress, BackToBackSsspEnactmentsCarryNoState) {
+  expect_reuse_matches_fresh<prim::MsSsspProblem, prim::MsSsspEnactor>(
+      test::small_weighted_rmat(), prim::run_msssp,
+      [](const prim::MsSsspProblem& p, int gpu, int slot, VertexT lv) {
+        return p.dist_at(gpu, slot, lv);
+      });
 }
 
 }  // namespace
