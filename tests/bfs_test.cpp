@@ -69,6 +69,14 @@ struct BfsParam {
   vgpu::AllocationScheme scheme;
 };
 
+// Without this, gtest prints the struct's raw bytes (the partitioner
+// pointer and padding), so test names would change from run to run.
+void PrintTo(const BfsParam& p, std::ostream* os) {
+  *os << "gpus" << p.gpus << '/' << p.partitioner << '/'
+      << part::to_string(p.dup) << '/' << core::to_string(p.comm) << '/'
+      << vgpu::to_string(p.scheme);
+}
+
 class BfsSweep : public ::testing::TestWithParam<BfsParam> {};
 
 TEST_P(BfsSweep, MatchesCpu) {
