@@ -3,7 +3,8 @@
 # ThreadSanitizer build of the concurrency-sensitive suites (the comm
 # layer, the enactor's control threads, fault paths, and the stream
 # stress tests), then an AddressSanitizer + UndefinedBehaviorSanitizer
-# build of the multi-source, serve and stream-stress suites.
+# build of the multi-source, serve, stream-stress, fault-recovery,
+# chaos and sync-pipeline suites.
 # Usage: scripts/check.sh [build-dir] [tsan-build-dir] [asan-build-dir]
 set -euo pipefail
 
@@ -31,7 +32,7 @@ echo "==> micro_operators acceptance gate (writes BENCH_operators.json)"
 
 echo "==> chaos + fault-recovery suites (explicit)"
 # Seeded fault plans against whole primitive runs plus the targeted
-# recovery tests (grow-and-retry, comm retries, watchdog, degraded
+# recovery tests (grow-and-retry, comm retries, stop deadline, degraded
 # re-enact). Every chaos assertion message carries its fault-plan
 # seed, so a red run is reproducible straight from this log.
 "$BUILD/tests/mgg_tests" \
@@ -133,7 +134,9 @@ TSAN_FILTER='Message.*:CommBus.*:Frontier.*:Operators.*:Problem.*'
 TSAN_FILTER+=':Enactor.*:Oom.*:FaultInjection.*:StreamStress.*'
 TSAN_FILTER+=':OperatorPipeline.*:SyncPipeline.*'
 # Fault-recovery paths cross threads by design: injector atomics,
-# the comm retry loop, the watchdog thread and the regrow replay.
+# the comm retry loop, the stop-deadline error handoff (a timed-out
+# handshake take aborts the table under its peers) and the regrow
+# replay.
 TSAN_FILTER+=':FaultRecovery.*:ChaosTsan.*'
 # Tracer observation paths + the Device scale-knob race regression
 # (tracer buffers are written from stream workers and drained from the
@@ -167,11 +170,16 @@ cmake -B "$ASAN_BUILD" -S . \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
 cmake --build "$ASAN_BUILD" -j --target mgg_tests
 
-echo "==> asan+ubsan: multi-source / serve / stream-stress suites"
+echo "==> asan+ubsan: multi-source / serve / stream-stress / stop-path suites"
 # The multi-source primitives read vertex-major MsSssp rows in padded
 # 16-byte groups and reset only the occupied slots; the serve and
 # stream-stress suites reuse one Problem across batches of different
 # occupancy, so an out-of-row read or a stale-slot read surfaces here.
-"$ASAN_BUILD/tests/mgg_tests" --gtest_filter='MsBfs.*:Serve*:StreamStress.*'
+# The fault, chaos and sync-pipeline suites drive the stop path: the
+# kTimedOut thrown from a blocked handshake take, the table abort it
+# triggers, and the drain of every worker through the error stop.
+ASAN_FILTER='MsBfs.*:Serve*:StreamStress.*:FaultRecovery.*:Chaos.*'
+ASAN_FILTER+=':ChaosTsan.*:SyncPipeline.*'
+"$ASAN_BUILD/tests/mgg_tests" --gtest_filter="$ASAN_FILTER"
 
 echo "==> check.sh: all green"

@@ -382,7 +382,6 @@ double CommBus::consult_transfer_faults(int src, int dst,
   vgpu::FaultInjector* injector = machine_->fault_injector();
   if (injector == nullptr) return slowdown;
   const int max_retries = max_retries_.load(std::memory_order_relaxed);
-  const double base = backoff_base_s_.load(std::memory_order_relaxed);
   int attempt = 0;
   for (;;) {
     const vgpu::TransferDecision decision = injector->on_transfer(src, dst);
@@ -405,13 +404,15 @@ double CommBus::consult_transfer_faults(int src, int dst,
     // seconds explode long before that) and the total is capped so a
     // high retry bound models a saturated retry loop, not
     // astronomical time.
+    static constexpr double kBackoffBaseS = 50e-6;
     static constexpr int kMaxBackoffExponent = 20;
     static constexpr double kBackoffTotalCapFactor =
         static_cast<double>(1ULL << 22);
     const int exponent = std::min(attempt, kMaxBackoffExponent);
     backoff_s =
-        std::min(backoff_s + base * static_cast<double>(1ULL << exponent),
-                 base * kBackoffTotalCapFactor);
+        std::min(backoff_s +
+                     kBackoffBaseS * static_cast<double>(1ULL << exponent),
+                 kBackoffBaseS * kBackoffTotalCapFactor);
     ++attempt;
     comm_retries_.fetch_add(1, std::memory_order_relaxed);
   }

@@ -348,15 +348,14 @@ class CommBus {
   /// Messages currently resting in the pool (observability / tests).
   std::size_t pool_size() const;
 
-  /// Transient-transfer retry policy (consulted only when the machine
+  /// Transient-transfer retry bound (consulted only when the machine
   /// has a FaultInjector; fault-free pushes never touch it). Each
-  /// retry charges `backoff_base_s * 2^attempt` modeled seconds of
-  /// backoff to the transfer; exhausting `max_retries` (or hitting a
-  /// permanent transfer fault) raises kUnavailable at the sender's
-  /// next comm-stream synchronize.
-  void set_retry_policy(int max_retries, double backoff_base_s) {
+  /// retry charges `50 us * 2^attempt` modeled seconds of backoff to
+  /// the transfer; exhausting `max_retries` (or hitting a permanent
+  /// transfer fault) raises kUnavailable at the sender's next
+  /// comm-stream synchronize.
+  void set_retry_policy(int max_retries) {
     max_retries_.store(max_retries, std::memory_order_relaxed);
-    backoff_base_s_.store(backoff_base_s, std::memory_order_relaxed);
   }
 
   /// Transfer retries performed so far (feeds RunStats::comm_retries).
@@ -493,7 +492,6 @@ class CommBus {
   std::vector<Message> pool_;
   bool strict_drain_ = false;
   std::atomic<int> max_retries_{3};
-  std::atomic<double> backoff_base_s_{50e-6};
   std::atomic<std::uint64_t> comm_retries_{0};
   std::atomic<std::uint64_t> wire_bytes_raw_{0};
   std::atomic<std::uint64_t> wire_bytes_bitmap_{0};

@@ -157,13 +157,12 @@ vgpu::RunStats EnactorBase::enact() {
   tracer_ = problem_.machine().tracer();
   // Fault/recovery wiring. All of it is inert on a fault-free default
   // machine: no injector, max_oom_regrows defaults to 0, the retry
-  // policy is only consulted under an injector, and the watchdog only
-  // spawns when a deadline is configured.
+  // policy is only consulted under an injector, and the stop deadline
+  // is never unless a budget or stall window is configured.
   vgpu::FaultInjector* injector = problem_.machine().fault_injector();
-  bus_->set_retry_policy(cfg.max_comm_retries, cfg.comm_backoff_base_s);
+  bus_->set_retry_policy(cfg.max_comm_retries);
   if (pipeline_) handshakes_->set_fault_injector(injector);
   oom_regrows_.store(0, std::memory_order_relaxed);
-  progress_.store(0, std::memory_order_relaxed);
   const std::uint64_t comm_retry_base = bus_->comm_retries();
   const WireStats wire_base = bus_->wire_stats();
   const CommBus::LinkBytes link_base = bus_->link_bytes();
@@ -198,10 +197,9 @@ vgpu::RunStats EnactorBase::enact() {
       injector != nullptr ? injector->injected_count() : 0;
   run_stats_.watchdog_deadline_s = cfg.watchdog_deadline_s;
   run_stats_.enact_deadline_s = enact_deadline_s_;
-  // Per-run deadline + abort hooks: a stale abort from a previous run
-  // must not kill this one, and the budget clock starts now.
-  abort_requested_.store(false, std::memory_order_release);
-  enact_timer_.restart();
+  // The stop deadline (docs/architecture.md §10): both clocks start now.
+  run_start_ = StopDeadline::Clock::now();
+  arm_stop(run_start_);
   // Dense frontiers are strictly opt-in: the threshold only reaches the
   // operator contexts when the primitive declares support. Wired here
   // (not the constructor) because dense_frontier_capable() is virtual.
@@ -227,21 +225,6 @@ vgpu::RunStats EnactorBase::enact() {
   }
   begin_iteration(0);
 
-  // Watchdog (pipeline only: BSP workers meet at barriers, which only a
-  // dead thread can stall — and a dead thread already records its error
-  // and aborts). A receiver whose sender's handshake was swallowed
-  // (kHandshakeDrop, or a real lost publish) blocks in take() forever;
-  // the watchdog turns that hang into a clean kTimedOut error stop.
-  const bool watchdog_armed = pipeline_ && cfg.watchdog_deadline_s > 0;
-  if (watchdog_armed) {
-    {
-      std::lock_guard<std::mutex> lock(watchdog_mutex_);
-      watchdog_stop_ = false;
-    }
-    watchdog_ = std::thread(
-        [this, deadline = cfg.watchdog_deadline_s] { watchdog_loop(deadline); });
-  }
-
   util::WallTimer timer;
   {
     std::lock_guard<std::mutex> lock(status_mutex_);
@@ -259,14 +242,6 @@ vgpu::RunStats EnactorBase::enact() {
     for (auto& st : status_) st = ThreadStatus::kWait;
   }
   run_stats_.wall_s = timer.seconds();
-  if (watchdog_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(watchdog_mutex_);
-      watchdog_stop_ = true;
-    }
-    watchdog_cv_.notify_all();
-    watchdog_.join();
-  }
   run_stats_.oom_regrows = oom_regrows_.load(std::memory_order_relaxed);
   run_stats_.comm_retries = bus_->comm_retries() - comm_retry_base;
   {
@@ -378,16 +353,7 @@ void EnactorBase::run_loop(int gpu) {
 
     // --- combine received sub-frontiers (ExpandIncoming) ---
     try {
-      auto& messages = bus_->drain(gpu);
-      if (!has_error()) {
-        for (const Message& msg : messages) {
-          expand_incoming(s, msg);
-          s.combine_items += msg.vertices.size();
-          // The combine kernel is communication computation (C).
-          s.device->add_kernel_cost(0, msg.vertices.size(), 1, 1.0,
-                                    "combine", vgpu::TraceCategory::kCombine);
-        }
-      }
+      combine_messages(s, bus_->drain(gpu));
       // Recycle the batch now so the pooled buffers are available to
       // every sender in the next iteration.
       bus_->release_drained(gpu);
@@ -440,7 +406,8 @@ void EnactorBase::run_loop_pipeline(int gpu) {
         const double wait_pos =
             traced ? s.device->modeled_compute_time() : 0.0;
         util::WallTimer wait_timer;
-        vgpu::Event ready = handshakes_->take(src, s.gpu, s.superstep);
+        vgpu::Event ready =
+            handshakes_->take(src, s.gpu, s.superstep, stop_);
         // cudaStreamWaitEvent analog: queue the wait on our compute
         // stream, then join it from the host — the combine below is
         // ordered behind the sender's last push to us.
@@ -458,17 +425,7 @@ void EnactorBase::run_loop_pipeline(int gpu) {
           span.wall_s = wait_timer.seconds();
           tracer_->record(span);
         }
-        auto& messages = bus_->drain_from(s.gpu, src);
-        if (!has_error()) {
-          for (const Message& msg : messages) {
-            expand_incoming(s, msg);
-            s.combine_items += msg.vertices.size();
-            // The combine kernel is communication computation (C).
-            s.device->add_kernel_cost(0, msg.vertices.size(), 1, 1.0,
-                                      "combine",
-                                      vgpu::TraceCategory::kCombine);
-          }
-        }
+        combine_messages(s, bus_->drain_from(s.gpu, src));
         // Recycle before the next sender's drain (strict protocol).
         bus_->release_drained(s.gpu);
       } catch (...) {
@@ -492,6 +449,22 @@ void EnactorBase::run_loop_pipeline(int gpu) {
   }
 }
 
+void EnactorBase::combine_messages(Slice& s,
+                                   const std::vector<Message>& messages) {
+  if (has_error()) return;
+  for (const Message& msg : messages) {
+    expand_incoming(s, msg);
+    s.combine_items += msg.vertices.size();
+    // The combine kernel is communication computation (C).
+    s.device->add_kernel_cost(0, msg.vertices.size(), 1, 1.0, "combine",
+                              vgpu::TraceCategory::kCombine);
+  }
+}
+
+/// Grow-and-retry regrow factor applied to the failed request (falls
+/// back to the exact size if the padded allocation also fails).
+constexpr double kOomHeadroom = 1.5;
+
 void EnactorBase::run_core_with_recovery(Slice& s) {
   const Config& cfg = problem_.config();
   int attempts = 0;
@@ -514,7 +487,7 @@ void EnactorBase::run_core_with_recovery(Slice& s) {
       // anyway — that site consumed a fault event, so a transient
       // clears on its own, and a persistent capacity overflow simply
       // re-throws once the regrow budget is spent.
-      s.frontier.recover_output_oom(cfg.oom_headroom);
+      s.frontier.recover_output_oom(kOomHeadroom);
       ++attempts;
       oom_regrows_.fetch_add(1, std::memory_order_relaxed);
       if (tracer_ != nullptr) {
@@ -529,46 +502,6 @@ void EnactorBase::run_core_with_recovery(Slice& s) {
         tracer_->record(span);
       }
     }
-  }
-}
-
-void EnactorBase::watchdog_loop(double deadline_s) {
-  std::unique_lock<std::mutex> lock(watchdog_mutex_);
-  std::uint64_t last_progress = progress_.load(std::memory_order_acquire);
-  auto last_change = std::chrono::steady_clock::now();
-  // Poll a few times per deadline; the cv makes shutdown (and tests)
-  // prompt regardless of the tick length.
-  const auto tick = std::chrono::duration_cast<std::chrono::milliseconds>(
-      std::chrono::duration<double>(std::max(deadline_s / 4.0, 0.010)));
-  for (;;) {
-    if (watchdog_cv_.wait_for(lock, tick, [this] { return watchdog_stop_; })) {
-      return;  // run finished normally
-    }
-    const std::uint64_t p = progress_.load(std::memory_order_acquire);
-    const auto now = std::chrono::steady_clock::now();
-    if (p != last_progress) {
-      last_progress = p;
-      last_change = now;
-      continue;
-    }
-    if (std::chrono::duration<double>(now - last_change).count() <
-        deadline_s) {
-      continue;
-    }
-    // Stalled: no superstep closed for a full deadline. Record
-    // kTimedOut through the regular error-stop protocol — record_error
-    // aborts the handshake table, which frees every blocked take(), so
-    // the workers drain to the convergence barrier and stop cleanly;
-    // the enactor stays reusable.
-    try {
-      throw Error(Status::kTimedOut,
-                  "watchdog: no superstep closed within " +
-                      std::to_string(deadline_s) +
-                      " s (stalled handshake or straggler)");
-    } catch (...) {
-      record_error(n_);
-    }
-    return;
   }
 }
 
@@ -616,36 +549,32 @@ void EnactorBase::close_iteration() {
   }
 }
 
-void EnactorBase::request_abort(const std::string& reason) {
-  {
-    std::lock_guard<std::mutex> lock(abort_mutex_);
-    abort_reason_ = reason;
+void EnactorBase::arm_stop(StopDeadline::Clock::time_point last_close) {
+  stop_ = StopDeadline{};
+  stop_.limit(run_start_, enact_deadline_s_, /*is_stall=*/false);
+  // The stall window applies only to the pipeline schedule: BSP
+  // workers meet at barriers, which only a dead thread can stall, and
+  // a dead thread already records its error.
+  if (pipeline_) {
+    stop_.limit(last_close, problem_.config().watchdog_deadline_s,
+                /*is_stall=*/true);
   }
-  abort_requested_.store(true, std::memory_order_release);
 }
 
 void EnactorBase::close_iteration_body() {
-  // Abort + deadline checks first: both route through close_iteration's
+  // Stop-deadline check first: it routes through close_iteration's
   // catch into the regular error-stop protocol (record_error(n_) + stop
-  // flag — the watchdog's path), so workers drain out of the loop and
-  // the enactor stays reusable. Checked here because every superstep
-  // closes through this exclusive callback in both schedules; a
-  // *stalled* pipeline superstep never closes, which is exactly the
-  // case Config::watchdog_deadline_s covers.
-  if (abort_requested_.load(std::memory_order_acquire)) {
-    std::string reason;
-    {
-      std::lock_guard<std::mutex> lock(abort_mutex_);
-      reason = abort_reason_;
+  // flag), so workers drain out of the loop and the enactor stays
+  // reusable. Every superstep closes through this exclusive callback in
+  // both schedules; a pipeline superstep that never closes is caught
+  // where its workers block instead (HandshakeTable::take).
+  StopDeadline::Clock::time_point now{};
+  if (stop_.armed()) {
+    now = StopDeadline::Clock::now();
+    if (now > stop_.at) {
+      throw stop_.timed_out("after " + std::to_string(iteration_) +
+                            " superstep(s)");
     }
-    throw Error(Status::kUnavailable, "enactment aborted: " + reason);
-  }
-  if (enact_deadline_s_ > 0 &&
-      enact_timer_.seconds() > enact_deadline_s_) {
-    throw Error(Status::kTimedOut,
-                "enactment deadline of " +
-                    std::to_string(enact_deadline_s_) + " s exceeded after " +
-                    std::to_string(iteration_) + " superstep(s)");
   }
   // Realize the gateways' staged inter-node pushes *before* harvesting:
   // the merge/encode kernels and the merged transfers belong to the
@@ -712,8 +641,8 @@ void EnactorBase::close_iteration_body() {
   }
   ++run_stats_.iterations;
   ++iteration_;
-  // Feed the watchdog: a closed superstep is forward progress.
-  progress_.fetch_add(1, std::memory_order_release);
+  // A closed superstep restarts the stall window.
+  if (stop_.armed()) arm_stop(now);
 
   bool all_empty = true;
   for (const auto& s : slices_) {

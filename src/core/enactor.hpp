@@ -45,7 +45,6 @@
 #include "core/handshake.hpp"
 #include "core/operators.hpp"
 #include "core/problem.hpp"
-#include "util/timer.hpp"
 #include "vgpu/cost.hpp"
 
 namespace mgg::core {
@@ -117,24 +116,16 @@ class EnactorBase {
   Slice& slice(int gpu) { return *slices_[gpu]; }
   int num_gpus() const noexcept { return n_; }
 
-  /// Arm a wall-clock budget for enact(): when a superstep closes past
-  /// `seconds` of run wall time, the run aborts through the regular
-  /// error-stop protocol (the same path the pipeline watchdog uses)
-  /// with Status::kTimedOut, leaving the enactor reusable. Sticky
-  /// across runs until changed; 0 (the default) disarms it and the
-  /// check is two loads per superstep — no modeled cost either way.
-  /// The serve layer arms this per batch with the member queries'
+  /// Arm a wall-clock budget for enact(): once `seconds` of run wall
+  /// time have passed, the run stops with Status::kTimedOut at the
+  /// next superstep close or inside a blocked pipeline handshake,
+  /// whichever comes first, through the regular error-stop protocol —
+  /// the enactor stays reusable. It shares one StopDeadline with the
+  /// stall window (Config::watchdog_deadline_s). Sticky across runs
+  /// until changed; 0 (the default) disarms it. No modeled cost either
+  /// way. The serve layer arms this per batch with the member queries'
   /// remaining deadline budget.
   void set_enact_deadline(double seconds) { enact_deadline_s_ = seconds; }
-  double enact_deadline() const noexcept { return enact_deadline_s_; }
-
-  /// Cross-thread abort: the in-flight enact() stops at the next
-  /// superstep close with Status::kUnavailable carrying `reason`, via
-  /// the same error-stop protocol as a device loss — workers drain to
-  /// the barriers and the enactor stays reusable. Safe from any
-  /// thread; cleared at the start of every enact(). A no-op when no
-  /// run is in flight (the next enact() clears it).
-  void request_abort(const std::string& reason);
 
   /// Empty every GPU's frontier (start of a new run).
   void reset_frontiers();
@@ -338,9 +329,14 @@ class EnactorBase {
   /// Config::max_oom_regrows times (W/H naturally recharged by the
   /// replay; counted in RunStats::oom_regrows).
   void run_core_with_recovery(Slice& s);
-  /// Watchdog body: aborts the run with Status::kTimedOut when no
-  /// superstep closes within `deadline_s` of wall clock.
-  void watchdog_loop(double deadline_s);
+  /// Combine step: merge every drained message into the slice's local
+  /// data in order, charging the combine kernel per message. Shared by
+  /// both schedules. Skipped once the run has an error.
+  void combine_messages(Slice& s, const std::vector<Message>& messages);
+  /// Recompute stop_: the earlier of run start + enact_deadline_s_ and
+  /// `last_close` + Config::watchdog_deadline_s (pipeline schedule
+  /// only).
+  void arm_stop(StopDeadline::Clock::time_point last_close);
   /// Record + publish handshake events for every peer not already
   /// signaled via mark_peer_pushed, then clear the marks. Runs even on
   /// the error path: receivers block on these events, not on a
@@ -396,27 +392,16 @@ class EnactorBase {
   std::vector<std::exception_ptr> errors_;
 
   std::uint64_t iteration_ = 0;
-  /// Per-run wall budget (set_enact_deadline); checked when a
-  /// superstep closes, in both schedules — BSP workers always reach
-  /// the completion barrier, and in pipeline mode the watchdog covers
-  /// the stalled-handshake case this check cannot see.
+  /// Per-run wall budget (set_enact_deadline).
   double enact_deadline_s_ = 0;
-  util::WallTimer enact_timer_;
-  /// request_abort() flag + reason, consumed at superstep close.
-  std::atomic<bool> abort_requested_{false};
-  std::mutex abort_mutex_;
-  std::string abort_reason_;
+  StopDeadline::Clock::time_point run_start_;
+  /// The run's one stop deadline (arm_stop). Written only before the
+  /// workers start and in the exclusive close_iteration_body; read by
+  /// close_iteration_body and by workers blocked in a handshake take.
+  /// The barrier orders every write before the next superstep's reads.
+  StopDeadline stop_;
   /// Superstep replays performed by run_core_with_recovery this run.
   std::atomic<std::uint64_t> oom_regrows_{0};
-  /// Watchdog (armed per enact() when pipeline_ and
-  /// Config::watchdog_deadline_s > 0): progress_ is bumped every time
-  /// a superstep closes; the watchdog thread aborts the run via the
-  /// error-stop protocol when it stops moving for the deadline.
-  std::atomic<std::uint64_t> progress_{0};
-  std::thread watchdog_;
-  std::mutex watchdog_mutex_;
-  std::condition_variable watchdog_cv_;
-  bool watchdog_stop_ = false;
   vgpu::RunStats run_stats_;
   std::vector<vgpu::IterationRecord> iteration_records_;
   /// Machine's tracer, fetched once per enact() (null = disabled).

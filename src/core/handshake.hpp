@@ -25,13 +25,21 @@
 // where the barrier schedule would have drained them through the
 // barriers. abort() flips a flag that makes take() hand back pre-fired
 // events; the enactor calls it from its error-recording path.
+//
+// Deadline stop: take() also waits against the run's StopDeadline, so
+// a publish that never comes (a lost handshake, a straggler) turns
+// into a kTimedOut error on the blocked receiver itself. Its worker
+// records the error like any other, which aborts the table and drains
+// every thread through the error stop above.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <utility>
 
 #include "util/error.hpp"
@@ -39,6 +47,44 @@
 #include "vgpu/stream.hpp"
 
 namespace mgg::core {
+
+/// The wall-clock instant at which an enactment must stop, and which
+/// of its two limits sets it: the run budget
+/// (EnactorBase::set_enact_deadline) or the stall window
+/// (Config::watchdog_deadline_s, measured from the last superstep
+/// close). EnactorBase recomputes it at run start and at every
+/// superstep close. Default-constructed: never.
+struct StopDeadline {
+  using Clock = std::chrono::steady_clock;
+
+  Clock::time_point at = Clock::time_point::max();
+  double limit_s = 0;  ///< the limit that sets `at`, in seconds
+  bool stall = false;  ///< `at` comes from the stall window
+
+  bool armed() const { return at != Clock::time_point::max(); }
+
+  /// Tighten to `from + seconds` if that is earlier; `seconds` <= 0
+  /// contributes nothing. Budgets beyond ~30 years count as never.
+  void limit(Clock::time_point from, double seconds, bool is_stall) {
+    if (seconds <= 0 || seconds > 1e9) return;
+    const Clock::time_point t =
+        from + std::chrono::duration_cast<Clock::duration>(
+                   std::chrono::duration<double>(seconds));
+    if (t >= at) return;
+    at = t;
+    limit_s = seconds;
+    stall = is_stall;
+  }
+
+  /// The kTimedOut error naming the limit that fired; `where` says
+  /// where the run stood when it did.
+  Error timed_out(const std::string& where) const {
+    return Error(Status::kTimedOut,
+                 (stall ? "no superstep closed within "
+                        : "enactment deadline of ") +
+                     std::to_string(limit_s) + " s exceeded " + where);
+  }
+};
 
 class HandshakeTable {
  public:
@@ -49,7 +95,8 @@ class HandshakeTable {
 
   /// Install (or clear, with nullptr) a fault injector: a
   /// kHandshakeDrop spec swallows the matching publish(), stalling the
-  /// receiver's take() until the enactor's watchdog aborts the run.
+  /// receiver's take() until the run's StopDeadline passes (or another
+  /// error aborts the table).
   /// Set by the enactor before the run's workers start.
   void set_fault_injector(vgpu::FaultInjector* injector) {
     fault_injector_.store(injector, std::memory_order_release);
@@ -79,8 +126,8 @@ class HandshakeTable {
     if (vgpu::FaultInjector* injector =
             fault_injector_.load(std::memory_order_acquire)) {
       if (injector->drop_handshake(src, dst)) {
-        // Swallowed publish: the receiver stalls in take() until the
-        // watchdog (or another error path) calls abort().
+        // Swallowed publish: the receiver stalls in take() until its
+        // deadline passes (or another error path calls abort()).
         return;
       }
     }
@@ -100,14 +147,23 @@ class HandshakeTable {
 
   /// Receiver side: block until the (src -> dst) event for `superstep`
   /// is published, then consume it. On an aborted run, returns a
-  /// pre-fired event so the caller's stream wait cannot hang.
-  vgpu::Event take(int src, int dst, std::uint64_t superstep) {
+  /// pre-fired event so the caller's stream wait cannot hang. Throws
+  /// `stop.timed_out(...)` if `stop` passes first.
+  vgpu::Event take(int src, int dst, std::uint64_t superstep,
+                   const StopDeadline& stop = {}) {
     Slot& s = slot(src, dst);
     std::unique_lock<std::mutex> lock(s.mutex);
-    s.cv.wait(lock, [&] {
+    const auto ready = [&] {
       return (s.armed && s.superstep == superstep) ||
              aborted_.load(std::memory_order_acquire);
-    });
+    };
+    if (!stop.armed()) {
+      s.cv.wait(lock, ready);
+    } else if (!s.cv.wait_until(lock, stop.at, ready)) {
+      throw stop.timed_out("waiting for gpu " + std::to_string(src) +
+                           "'s superstep-" + std::to_string(superstep) +
+                           " handshake");
+    }
     if (!s.armed || s.superstep != superstep) {
       vgpu::Event fired;
       fired.fire();

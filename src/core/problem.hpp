@@ -96,19 +96,18 @@ struct Config {
   /// primitives whose iteration_core is replay-safe
   /// (EnactorBase::core_replayable()) ever replay.
   int max_oom_regrows = 0;
-  /// Regrow factor applied to the failed request on recovery (falls
-  /// back to the exact size if the padded allocation also fails).
-  double oom_headroom = 1.5;
   /// Bounded retries for a transient transfer fault, charged to the
   /// per-GPU comm timeline with modeled exponential backoff
-  /// (comm_backoff_base_s * 2^attempt). Retries only matter when a
-  /// FaultInjector is installed; fault-free runs never consult them.
+  /// (50 us * 2^attempt). Retries only matter when a FaultInjector is
+  /// installed; fault-free runs never consult them.
   int max_comm_retries = 3;
-  double comm_backoff_base_s = 50e-6;
-  /// Watchdog wall-clock deadline for pipeline-mode progress: if no
-  /// superstep closes for this long, the run aborts cleanly via
-  /// HandshakeTable::abort() with Status::kTimedOut and the enactor
-  /// stays reusable. 0 (default) disarms the watchdog.
+  /// Stall window for the pipeline schedule: if no superstep closes
+  /// within this many wall-clock seconds, the run stops with
+  /// Status::kTimedOut — at the superstep close, or inside the
+  /// handshake take a worker is blocked in — through the regular
+  /// error stop, and the enactor stays reusable. Shares one stop
+  /// deadline with EnactorBase::set_enact_deadline. Ignored under BSP;
+  /// 0 (default) disarms it.
   double watchdog_deadline_s = 0;
   /// After a permanent device loss (Status::kUnavailable authored by
   /// the FaultInjector), re-enact on the surviving n-1 vGPUs instead

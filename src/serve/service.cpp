@@ -211,44 +211,39 @@ QueryService::QueryService(const graph::Graph& g,
 
 QueryService::~QueryService() = default;
 
+int QueryService::Batch::slot_for(VertexT src, std::size_t width) {
+  const auto it = std::find(sources.begin(), sources.end(), src);
+  if (it != sources.end()) return static_cast<int>(it - sources.begin());
+  if (sources.size() >= width) return -1;
+  sources.push_back(src);
+  return static_cast<int>(sources.size() - 1);
+}
+
 std::vector<QueryService::Batch> QueryService::pack(
     std::span<const Query> queries) const {
   std::vector<Batch> batches;
   // One open batch per class; queries on an already-batched source
   // share its slot, so a batch can answer more queries than its width.
+  const auto width = static_cast<std::size_t>(options_.batch_width);
   int open[2] = {-1, -1};  // index into batches, or -1
   std::uint64_t next_id = 1;
   for (std::size_t i = 0; i < queries.size(); ++i) {
     const Query& q = queries[i];
     const bool sssp = q.kind == QueryKind::kSsspDist;
     const int cls = sssp ? 1 : 0;
-    int slot = -1;
-    if (open[cls] >= 0) {
-      const auto& sources = batches[static_cast<std::size_t>(open[cls])].sources;
-      for (std::size_t s = 0; s < sources.size(); ++s) {
-        if (sources[s] == q.src) {
-          slot = static_cast<int>(s);
-          break;
-        }
-      }
-      if (slot < 0 && sources.size() ==
-                          static_cast<std::size_t>(options_.batch_width)) {
-        open[cls] = -1;  // full: close it
-      }
-    }
-    if (open[cls] < 0) {
+    int slot = open[cls] >= 0
+                   ? batches[static_cast<std::size_t>(open[cls])].slot_for(
+                         q.src, width)
+                   : -1;
+    if (slot < 0) {  // no open batch, or it is full: open a new one
       Batch b;
       b.id = next_id++;
       b.sssp = sssp;
+      slot = b.slot_for(q.src, width);
       open[cls] = static_cast<int>(batches.size());
       batches.push_back(std::move(b));
     }
-    Batch& b = batches[static_cast<std::size_t>(open[cls])];
-    if (slot < 0) {
-      slot = static_cast<int>(b.sources.size());
-      b.sources.push_back(q.src);
-    }
-    b.members.push_back({i, slot});
+    batches[static_cast<std::size_t>(open[cls])].members.push_back({i, slot});
   }
   return batches;
 }
@@ -369,19 +364,10 @@ std::vector<QueryResult> QueryService::execute(
     nb.id = next_batch_id.fetch_add(1, std::memory_order_relaxed);
     for (const Batch::Member& m : failed.members) {
       if (resolved[m.query_index]) continue;
-      const VertexT src = queries[m.query_index].src;
-      int slot = -1;
-      for (std::size_t s = 0; s < nb.sources.size(); ++s) {
-        if (nb.sources[s] == src) {
-          slot = static_cast<int>(s);
-          break;
-        }
-      }
-      if (slot < 0) {
-        slot = static_cast<int>(nb.sources.size());
-        nb.sources.push_back(src);
-      }
-      nb.members.push_back({m.query_index, slot});
+      // A subset of the failed batch's sources always fits its width.
+      nb.members.push_back(
+          {m.query_index,
+           nb.slot_for(queries[m.query_index].src, failed.sources.size())});
     }
     if (nb.members.empty()) return;
     enqueue_batch(std::move(nb), next_attempt, not_before);
@@ -555,6 +541,7 @@ std::vector<QueryResult> QueryService::execute(
     for (Batch& b : packed) enqueue_batch(std::move(b), 0, 0.0);
   } else {
     dispatcher = std::thread([&] {
+      const auto width = static_cast<std::size_t>(options_.batch_width);
       Batch open[2];
       bool active[2] = {false, false};
       const auto flush = [&](int cls) {
@@ -583,28 +570,13 @@ std::vector<QueryResult> QueryService::execute(
         pending.fetch_add(1, std::memory_order_acq_rel);
         const bool sssp = q.kind == QueryKind::kSsspDist;
         const int cls = sssp ? 1 : 0;
-        int slot = -1;
-        if (active[cls]) {
-          for (std::size_t s = 0; s < open[cls].sources.size(); ++s) {
-            if (open[cls].sources[s] == q.src) {
-              slot = static_cast<int>(s);
-              break;
-            }
-          }
-          if (slot < 0 &&
-              open[cls].sources.size() ==
-                  static_cast<std::size_t>(options_.batch_width)) {
-            flush(cls);
-          }
-        }
-        if (!active[cls]) {
+        int slot = active[cls] ? open[cls].slot_for(q.src, width) : -1;
+        if (slot < 0) {  // no open batch, or it is full: start a new one
+          flush(cls);
           open[cls].id = next_batch_id.fetch_add(1, std::memory_order_relaxed);
           open[cls].sssp = sssp;
           active[cls] = true;
-        }
-        if (slot < 0) {
-          slot = static_cast<int>(open[cls].sources.size());
-          open[cls].sources.push_back(q.src);
+          slot = open[cls].slot_for(q.src, width);
         }
         open[cls].members.push_back({i, slot});
       }

@@ -174,6 +174,11 @@ class QueryService {
     std::vector<Member> members;
     bool completed = false;   ///< enactment succeeded; `run` is valid
     vgpu::RunStats run;
+
+    /// Slot answering `src`: its existing slot, else a new one appended
+    /// at the end. -1, leaving the batch unchanged, when `src` is new
+    /// and the batch already holds `width` sources.
+    int slot_for(VertexT src, std::size_t width);
   };
 
   std::vector<Batch> pack(std::span<const Query> queries) const;

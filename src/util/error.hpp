@@ -23,7 +23,7 @@ enum class Status : std::uint8_t {
   kIoError,           ///< file could not be read/parsed/written
   kInternal,          ///< framework invariant violated (a bug)
   kUnsupported,       ///< valid request the implementation does not handle
-  kTimedOut,          ///< wall-clock deadline exceeded (watchdog abort)
+  kTimedOut,          ///< wall-clock deadline exceeded (stop deadline)
   kUnavailable,       ///< peer/device lost or permanently failing
   kResourceExhausted, ///< admission/queue capacity exceeded (load shed)
 };

@@ -68,7 +68,8 @@ struct RunStats {
   std::uint64_t comm_retries = 0;
   std::uint64_t faults_injected = 0;
   std::uint64_t degraded_reruns = 0;
-  /// Watchdog wall-clock deadline this run was armed with (0 = off).
+  /// Stall window (Config::watchdog_deadline_s) this run was armed
+  /// with (0 = off).
   double watchdog_deadline_s = 0;
   /// Per-run enactment budget this run was armed with via
   /// EnactorBase::set_enact_deadline (0 = off). The serve layer arms

@@ -9,7 +9,7 @@
 // *injection* half: a seeded `FaultPlan` compiled into a
 // `FaultInjector` that the vgpu layer consults at well-defined sites.
 // The *recovery* half lives in core (enactor grow-and-retry, comm
-// retry/backoff, watchdog, degraded re-enact).
+// retry/backoff, stop deadline, degraded re-enact).
 //
 // Determinism contract: every decision is a pure function of the plan
 // and a per-site event counter — allocation events per device,
@@ -130,8 +130,8 @@ class FaultInjector {
   KernelDecision on_kernel(int device);
 
   /// Consult + advance the per-(src, dst) handshake event counter.
-  /// True = the publish must be swallowed (receiver will stall until
-  /// the watchdog aborts).
+  /// True = the publish must be swallowed (the receiver stalls until
+  /// the run's stop deadline passes).
   bool drop_handshake(int src, int dst);
 
   /// Total events fired so far (feeds RunStats::faults_injected).

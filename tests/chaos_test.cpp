@@ -231,8 +231,8 @@ TEST(Chaos, SeededPlansAreDeterministicAndRoundTrip) {
 }
 
 // Small chaos subset that runs under ThreadSanitizer in check.sh: the
-// injector's atomics, the retry loop and the watchdog all cross
-// threads.
+// injector's atomics, the retry loop and the stop-deadline error
+// handoff all cross threads.
 TEST(ChaosTsan, Smoke) {
   const auto subs = subjects();
   chaos_run(subs[0], 7, 2, core::SyncMode::kEventPipeline);

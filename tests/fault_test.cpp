@@ -1,7 +1,7 @@
 // Failure-injection tests: out-of-memory behavior, error propagation
 // out of the multi-threaded enactor, and the deterministic
 // fault-injection + recovery layer (grow-and-retry, comm retries,
-// watchdog, degraded re-enact).
+// stop deadline, degraded re-enact).
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -18,6 +18,7 @@
 #include "primitives/pagerank.hpp"
 #include "primitives/sssp.hpp"
 #include "test_support.hpp"
+#include "util/timer.hpp"
 #include "vgpu/fault.hpp"
 
 namespace mgg {
@@ -765,6 +766,58 @@ TEST(FaultRecovery, WatchdogConvertsHandshakeStallIntoTimedOut) {
   const auto stats = runner->enact();
   EXPECT_EQ(runner->signature(), want);
   EXPECT_DOUBLE_EQ(stats.watchdog_deadline_s, 0.2);
+}
+
+// The run budget must stop a stalled pipeline run from inside the
+// blocked handshake take, within the budget rather than at the far
+// longer stall window, and the same enactor must then run clean.
+TEST(FaultRecovery, EnactDeadlineFiresInsideStalledHandshake) {
+  constexpr int kGpus = 2;
+  core::Config cfg = test::config_for(kGpus);
+  cfg.sync_mode = core::SyncMode::kEventPipeline;
+  cfg.watchdog_deadline_s = 3.0;  // backstop: the 0.2 s budget fires first
+  const auto g = test::small_rmat(10, 8);
+  const VertexT src = test::first_connected_vertex(g);
+
+  auto golden_machine = test::test_machine(kGpus);
+  const auto want = prim::run_bfs(g, src, golden_machine, cfg).labels;
+
+  vgpu::FaultSpec spec;
+  spec.kind = vgpu::FaultKind::kHandshakeDrop;
+  spec.device = 0;
+  spec.peer = 1;
+  spec.at_event = 0;
+  spec.count = 1u << 20;
+  vgpu::FaultPlan plan;
+  plan.specs.push_back(spec);
+  auto machine = test::test_machine(kGpus);
+  vgpu::FaultInjector injector(plan, kGpus);
+  machine.set_fault_injector(&injector);
+  prim::BfsProblem problem;
+  problem.init(g, machine, cfg);
+  prim::BfsEnactor enactor(problem);
+  enactor.set_enact_deadline(0.2);
+  enactor.reset(src);
+  util::WallTimer timer;
+  try {
+    enactor.enact();
+    FAIL() << "expected the enact deadline to fire";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.status(), Status::kTimedOut) << e.what();
+    EXPECT_NE(std::string(e.what()).find("enactment deadline"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_LT(timer.seconds(), 1.5);
+
+  machine.set_fault_injector(nullptr);
+  enactor.set_enact_deadline(0);
+  enactor.reset(src);
+  enactor.enact();
+  const auto labels = prim::gather_vertex_values<VertexT>(
+      problem.partitioned(),
+      [&](int gpu, VertexT lv) { return problem.data(gpu).labels[lv]; });
+  EXPECT_EQ(labels, want);
 }
 
 // A permanent kernel fault marks the device lost; with

@@ -374,6 +374,26 @@ TEST(ServeChaos, PoissonArrivalsAreDeterministicAndAscending) {
   EXPECT_THROW((void)serve::generate_poisson_arrivals(4, 0.0, 1), Error);
 }
 
+TEST(ServeChaos, StalledHandshakeTimesOutDeadlinedPipelineLane) {
+  // Every 0 -> 1 handshake publish is swallowed, so no superstep of the
+  // lane's pipeline ever closes. The batch budget must fire inside the
+  // blocked handshake take: run() returns, and every query resolves
+  // kTimedOut instead of hanging the lane.
+  std::vector<serve::Query> queries =
+      serve::generate_queries(chaos_graph(), 24, 13, true);
+  for (auto& q : queries) q.deadline_s = 0.2;
+  auto opts = chaos_options(2, 1);
+  opts.config.sync_mode = core::SyncMode::kEventPipeline;
+  opts.fault_plan = "handshake_drop@0>1x1000000";
+  serve::QueryService service(chaos_graph(), opts);
+  const auto results = service.run(queries);
+  const auto& s = service.stats();
+  expect_zero_lost(s);
+  EXPECT_EQ(s.timed_out, queries.size());
+  EXPECT_GE(s.faults_injected, 1u);
+  for (const auto& r : results) EXPECT_EQ(r.status, Status::kTimedOut);
+}
+
 TEST(ServeChaos, OpenLoopRejectsNonAscendingArrivals) {
   const auto queries = serve::generate_queries(chaos_graph(), 3, 1, true);
   serve::QueryService service(chaos_graph(), chaos_options(2, 1));

@@ -16,6 +16,7 @@
 #include "core/handshake.hpp"
 #include "primitives/multi_source.hpp"
 #include "test_support.hpp"
+#include "util/error.hpp"
 #include "util/random.hpp"
 #include "vgpu/stream.hpp"
 
@@ -287,6 +288,29 @@ TEST(StreamStress, HandshakeAbortUnblocksAllTakers) {
   EXPECT_FALSE(table.aborted());
 }
 
+// Deadline stop: a take whose deadline has passed throws kTimedOut
+// instead of blocking, unless its event is already published — then
+// the event is handed over as usual.
+TEST(StreamStress, HandshakeTakePastDeadlineTimesOutUnlessPublished) {
+  core::HandshakeTable table(2);
+  core::StopDeadline past;
+  past.limit(core::StopDeadline::Clock::now() - std::chrono::seconds(1),
+             0.001, /*is_stall=*/false);
+  ASSERT_TRUE(past.armed());
+  try {
+    (void)table.take(0, 1, 0, past);
+    FAIL() << "expected kTimedOut from an expired take";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.status(), Status::kTimedOut) << e.what();
+  }
+  vgpu::Event published;
+  published.fire();
+  table.publish(1, 0, 0, std::move(published));
+  vgpu::Event got = table.take(1, 0, 0, past);
+  got.wait();  // the published (fired) event, not a timeout
+  EXPECT_FALSE(table.aborted());
+}
+
 TEST(StreamStress, DestructorDrainsQueue) {
   std::atomic<int> ran{0};
   {
@@ -321,7 +345,7 @@ TEST(StreamStress, DestructorReleasesWorkerBlockedInEventWait) {
 
 // Injected-stall abort stressor: a fault injector swallows one
 // handshake publish, stranding the receiver in take(); a control
-// thread (standing in for the enactor watchdog) aborts the table,
+// thread (standing in for a worker's error stop) aborts the table,
 // which must release the stalled waiter — including the event wait it
 // queued on its compute stream — and let every worker finish.
 TEST(StreamStress, InjectedHandshakeStallAbortReleasesBlockedWaiters) {
@@ -358,7 +382,7 @@ TEST(StreamStress, InjectedHandshakeStallAbortReleasesBlockedWaiters) {
     });
   }
   // GPU 1 is stalled in take(0, 1, 0) — its sender's publish was
-  // dropped. After a grace period the "watchdog" aborts.
+  // dropped. After a grace period the control thread aborts.
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_EQ(injector.injected_count(), 1u);
   table.abort();
