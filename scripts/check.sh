@@ -40,8 +40,9 @@ echo "==> chaos + fault-recovery suites (explicit)"
 
 echo "==> wire-format differential + adversarial suite (explicit)"
 # Bit-identical results/frontiers across {raw, bitmap, varint, auto}
-# x {BSP, pipeline} x 1-8 vGPUs, the encoder fallback chain, and the
-# corrupt-payload rejections.
+# x {BSP, pipeline} x 1-8 vGPUs, the encoder fallback chain (with
+# wire::plan agreeing with every encode), the corrupt-payload
+# rejections, and the seeded decode mutation sweep.
 "$BUILD/tests/mgg_tests" --gtest_filter='WireFormat.*'
 
 echo "==> parallel-exec differential suite (explicit)"
@@ -157,9 +158,10 @@ TSAN_FILTER+=':MsBfs.*:Serve.*'
 # open-loop dispatcher admits from its own thread, and per-query
 # resolution races are claimed via the single-writer ticket protocol.
 TSAN_FILTER+=':Supervisor.*:ServeChaos.*'
-# Two-level combine: stage_relay runs on the sender comm streams under
-# the relay mutex while flush_relays drains from the closing control
-# thread and bumps the link-split/gateway atomics.
+# Two-level combine: stage_relay appends records and IDs to a
+# gateway's ledger on the sender comm streams under the relay mutex
+# while flush_relays drains it from the closing control thread and
+# bumps the link-split/gateway atomics.
 TSAN_FILTER+=':TwoLevel.*:Hierarchy.*'
 "$TSAN_BUILD/tests/mgg_tests" --gtest_filter="$TSAN_FILTER"
 
@@ -170,7 +172,7 @@ cmake -B "$ASAN_BUILD" -S . \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
 cmake --build "$ASAN_BUILD" -j --target mgg_tests
 
-echo "==> asan+ubsan: multi-source / serve / stream-stress / stop-path suites"
+echo "==> asan+ubsan: multi-source / serve / stop-path / wire / two-level suites"
 # The multi-source primitives read vertex-major MsSssp rows in padded
 # 16-byte groups and reset only the occupied slots; the serve and
 # stream-stress suites reuse one Problem across batches of different
@@ -180,6 +182,10 @@ echo "==> asan+ubsan: multi-source / serve / stream-stress / stop-path suites"
 # triggers, and the drain of every worker through the error stop.
 ASAN_FILTER='MsBfs.*:Serve*:StreamStress.*:FaultRecovery.*:Chaos.*'
 ASAN_FILTER+=':ChaosTsan.*:SyncPipeline.*'
+# The wire decoder reads bytes that crossed a link (the mutation sweep
+# feeds it corrupt payloads), and the gateway ledger slices a flat ID
+# buffer by record offsets.
+ASAN_FILTER+=':WireFormat.*:TwoLevel.*:Hierarchy.*'
 "$ASAN_BUILD/tests/mgg_tests" --gtest_filter="$ASAN_FILTER"
 
 echo "==> check.sh: all green"

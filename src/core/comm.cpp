@@ -61,23 +61,13 @@ inline std::int64_t unzigzag(std::uint64_t u) noexcept {
          -static_cast<std::int64_t>(u & 1);
 }
 
-inline void put_varint(util::PodVector<std::uint8_t>& out,
-                       std::uint64_t v) {
-  while (v >= 0x80) {
-    out.push_back(static_cast<std::uint8_t>(v) | 0x80);
-    v >>= 7;
-  }
-  out.push_back(static_cast<std::uint8_t>(v));
-}
-
-/// Encoded length of put_varint(v) without emitting it (the sizing
-/// pass of the two-pass parallel varint encoder).
+/// Encoded length of a varint code without emitting it (the sizing
+/// pass behind plan() and the parallel encoder's chunk offsets).
 inline std::size_t varint_len(std::uint64_t v) noexcept {
   return (static_cast<std::size_t>(std::bit_width(v | 1)) + 6) / 7;
 }
 
-/// put_varint into a raw buffer at `p`; returns bytes written. Emits
-/// exactly the bytes put_varint would push_back.
+/// LEB128 varint into a raw buffer at `p`; returns bytes written.
 inline std::size_t put_varint_at(std::uint8_t* p, std::uint64_t v) noexcept {
   std::size_t i = 0;
   while (v >= 0x80) {
@@ -124,17 +114,31 @@ inline std::uint32_t get_u32(const std::uint8_t* data, std::size_t size,
   return v;
 }
 
-bool strictly_ascending(const util::PodVector<VertexT>& v) noexcept {
+bool strictly_ascending(std::span<const VertexT> v) noexcept {
   for (std::size_t i = 1; i < v.size(); ++i) {
     if (v[i] <= v[i - 1]) return false;
   }
   return true;
 }
 
+/// Bytes of the zigzag-delta varints for ids[b, e), the running
+/// `prev` seeded from ids[b-1] (0 at the start) — so chunks size
+/// independently and their sum is the whole stream's size.
+std::size_t delta_bytes(const VertexT* ids, std::size_t b, std::size_t e) {
+  std::int64_t prev = b == 0 ? 0 : static_cast<std::int64_t>(ids[b - 1]);
+  std::size_t bytes = 0;
+  for (std::size_t i = b; i < e; ++i) {
+    const std::int64_t cur = static_cast<std::int64_t>(ids[i]);
+    bytes += varint_len(zigzag(cur - prev));
+    prev = cur;
+  }
+  return bytes;
+}
+
 /// Bitmap layout: [u32 n_items][u32 n_words][n_words * 8-byte LE words]
 /// over the [0, max_id] ID range. Lossless only for strictly ascending
-/// input (decode emits set bits in ascending order) — the caller
-/// checked that.
+/// input (decode emits set bits in ascending order) — plan() checked
+/// that.
 void encode_bitmap(Message& msg, util::ThreadPool* pool) {
   const std::size_t n = msg.vertices.size();
   const std::uint64_t max_id = msg.vertices[n - 1];  // ascending: last
@@ -148,9 +152,9 @@ void encode_bitmap(Message& msg, util::ThreadPool* pool) {
   // Parallel fill: chunk the *word* range (each word owns 8 output
   // bytes and the 64 IDs mapping into it), and hand each chunk the
   // vertex subrange landing in its words via binary search on the
-  // (strictly ascending — the caller checked) ID sequence. Chunks
-  // zero and set disjoint byte ranges, so the payload is byte-for-byte
-  // what the sequential fill+set loop produces.
+  // (strictly ascending) ID sequence. Chunks zero and set disjoint
+  // byte ranges, so the payload is byte-for-byte what the sequential
+  // fill+set loop produces.
   constexpr std::size_t kWordGrain = 512;
   util::parallel_for(
       pool, static_cast<std::size_t>(n_words), kWordGrain,
@@ -176,81 +180,56 @@ void encode_bitmap(Message& msg, util::ThreadPool* pool) {
 
 /// Delta-varint layout: [varint n][zigzag(v[i] - v[i-1]) varints],
 /// previous starting at 0. Order-preserving for arbitrary sequences.
-void encode_delta_varint(Message& msg, util::ThreadPool* pool) {
+/// `bytes` is plan()'s exact payload size, so the buffer is sized once.
+void encode_delta_varint(Message& msg, std::size_t bytes,
+                         util::ThreadPool* pool) {
   const std::size_t n = msg.vertices.size();
-  msg.wire.clear();
-  constexpr std::size_t kItemGrain = 4096;
-  const std::size_t n_chunks = util::ThreadPool::chunk_count(n, kItemGrain);
-  if (pool == nullptr || n_chunks == 1) {
-    // Ascending dense runs collapse to 1 byte/vertex; reserve for that
-    // common case and let push_back grow on adversarial input.
-    msg.wire.reserve(10 + n * 2);
-    put_varint(msg.wire, n);
-    std::int64_t prev = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::int64_t cur = static_cast<std::int64_t>(msg.vertices[i]);
-      put_varint(msg.wire, zigzag(cur - prev));
-      prev = cur;
-    }
-    return;
-  }
-  // Two-pass parallel encode. Every delta depends only on vertices
-  // [i-1] and [i], so a chunk starting at b seeds its running
-  // `prev` from vertices[b-1] — no cross-chunk carry. Pass 1 sizes
-  // each chunk's encoded bytes, a serial prefix fixes each chunk's
-  // output offset, and pass 2 emits into disjoint ranges: the byte
-  // stream is identical to the sequential encoder's.
-  put_varint(msg.wire, n);
-  const std::size_t header = msg.wire.size();
-  std::size_t chunk_bytes[util::ThreadPool::kMaxChunks];
-  pool->run_chunks(n_chunks, [&](std::size_t c) {
-    const std::size_t b = util::ThreadPool::chunk_begin(n, n_chunks, c);
-    const std::size_t e = util::ThreadPool::chunk_begin(n, n_chunks, c + 1);
-    std::int64_t prev =
-        b == 0 ? 0 : static_cast<std::int64_t>(msg.vertices[b - 1]);
-    std::size_t bytes = 0;
+  const VertexT* ids = msg.vertices.data();
+  msg.wire.resize(bytes);
+  const std::size_t header = put_varint_at(msg.wire.data(), n);
+  // Every delta depends only on ids[i-1] and ids[i], so a chunk
+  // starting at b seeds its running `prev` from ids[b-1] — no
+  // cross-chunk carry.
+  auto emit = [&](std::size_t b, std::size_t e, std::uint8_t* out) {
+    std::int64_t prev = b == 0 ? 0 : static_cast<std::int64_t>(ids[b - 1]);
     for (std::size_t i = b; i < e; ++i) {
-      const std::int64_t cur = static_cast<std::int64_t>(msg.vertices[i]);
-      bytes += varint_len(zigzag(cur - prev));
-      prev = cur;
-    }
-    chunk_bytes[c] = bytes;
-  });
-  std::size_t offsets[util::ThreadPool::kMaxChunks];
-  std::size_t total = header;
-  for (std::size_t c = 0; c < n_chunks; ++c) {
-    offsets[c] = total;
-    total += chunk_bytes[c];
-  }
-  msg.wire.resize(total);
-  pool->run_chunks(n_chunks, [&](std::size_t c) {
-    const std::size_t b = util::ThreadPool::chunk_begin(n, n_chunks, c);
-    const std::size_t e = util::ThreadPool::chunk_begin(n, n_chunks, c + 1);
-    std::int64_t prev =
-        b == 0 ? 0 : static_cast<std::int64_t>(msg.vertices[b - 1]);
-    std::uint8_t* out = msg.wire.data() + offsets[c];
-    for (std::size_t i = b; i < e; ++i) {
-      const std::int64_t cur = static_cast<std::int64_t>(msg.vertices[i]);
+      const std::int64_t cur = static_cast<std::int64_t>(ids[i]);
       out += put_varint_at(out, zigzag(cur - prev));
       prev = cur;
     }
+  };
+  constexpr std::size_t kItemGrain = 4096;
+  const std::size_t n_chunks = util::ThreadPool::chunk_count(n, kItemGrain);
+  if (pool == nullptr || n_chunks == 1) {
+    emit(0, n, msg.wire.data() + header);
+    return;
+  }
+  // Two-pass parallel encode: pass 1 sizes each chunk, a serial prefix
+  // fixes each chunk's output offset, and pass 2 emits into disjoint
+  // ranges — the byte stream is identical to the sequential one.
+  std::size_t offsets[util::ThreadPool::kMaxChunks + 1];
+  pool->run_chunks(n_chunks, [&](std::size_t c) {
+    offsets[c + 1] =
+        delta_bytes(ids, util::ThreadPool::chunk_begin(n, n_chunks, c),
+                    util::ThreadPool::chunk_begin(n, n_chunks, c + 1));
+  });
+  offsets[0] = header;
+  for (std::size_t c = 0; c < n_chunks; ++c) offsets[c + 1] += offsets[c];
+  pool->run_chunks(n_chunks, [&](std::size_t c) {
+    emit(util::ThreadPool::chunk_begin(n, n_chunks, c),
+         util::ThreadPool::chunk_begin(n, n_chunks, c + 1),
+         msg.wire.data() + offsets[c]);
   });
 }
 
 }  // namespace
 
-WireFormat encode(Message& msg, WireFormat requested,
-                  double density_threshold, std::size_t universe,
-                  util::ThreadPool* pool) {
-  if (requested == WireFormat::kRawIds || msg.vertices.empty()) {
-    return WireFormat::kRawIds;
-  }
-  MGG_REQUIRE(msg.encoding == WireFormat::kRawIds,
-              "wire::encode on an already-encoded message");
-  const std::size_t n = msg.vertices.size();
-  const std::size_t raw_bytes = n * sizeof(VertexT);
-  const bool ascending = strictly_ascending(msg.vertices);
-
+WirePlan plan(std::span<const VertexT> ids, WireFormat requested,
+              double density_threshold, std::size_t universe) {
+  const std::size_t n = ids.size();
+  const WirePlan raw{WireFormat::kRawIds, n * sizeof(VertexT)};
+  if (requested == WireFormat::kRawIds || n == 0) return raw;
+  const bool ascending = strictly_ascending(ids);
   WireFormat pick = requested;
   if (pick == WireFormat::kAuto) {
     // Density heuristic: a bitmap over the receiver's hosted-vertex
@@ -265,42 +244,52 @@ WireFormat encode(Message& msg, WireFormat requested,
     pick = (dense && ascending) ? WireFormat::kBitmap
                                 : WireFormat::kDeltaVarint;
   }
-  if (pick == WireFormat::kBitmap) {
-    // Bitmap decode yields ascending order; a non-ascending sequence
-    // would be reordered (or, with duplicates, lose items). Fall back
-    // to the order-preserving format instead of silently corrupting.
-    if (!ascending) {
-      pick = WireFormat::kDeltaVarint;
-    } else {
-      const std::uint64_t n_words =
-          static_cast<std::uint64_t>(msg.vertices[n - 1]) / 64 + 1;
-      if (8 + n_words * 8 >= raw_bytes) pick = WireFormat::kDeltaVarint;
-    }
+  // Bitmap decode yields ascending order, so a non-ascending sequence
+  // (which it would reorder or, with duplicates, shrink) and a bitmap
+  // no smaller than raw both fall through to the order-preserving
+  // varint.
+  if (pick == WireFormat::kBitmap && ascending) {
+    const std::size_t bytes =
+        8 + (static_cast<std::size_t>(ids[n - 1]) / 64 + 1) * 8;
+    if (bytes < raw.bytes) return {WireFormat::kBitmap, bytes};
   }
-  if (pick == WireFormat::kBitmap) {
-    encode_bitmap(msg, pool);
-  } else {
-    encode_delta_varint(msg, pool);
-  }
-  if (msg.wire.size() >= raw_bytes) {
-    // Compression would inflate the payload (sparse adversarial
-    // sequences with large alternating deltas); ship raw.
-    msg.wire.clear();
-    return WireFormat::kRawIds;
-  }
-  msg.encoding = pick;
-  msg.wire_items = n;
-  msg.vertices.clear();
-  return pick;
+  // Varint inflates sparse adversarial sequences with large
+  // alternating deltas; those ship raw.
+  const std::size_t bytes = varint_len(n) + delta_bytes(ids.data(), 0, n);
+  return bytes < raw.bytes ? WirePlan{WireFormat::kDeltaVarint, bytes} : raw;
 }
 
-void decode(Message& msg) {
-  if (msg.encoding == WireFormat::kRawIds) return;
+WireFormat encode(Message& msg, WireFormat requested,
+                  double density_threshold, std::size_t universe,
+                  util::ThreadPool* pool) {
+  const WirePlan p =
+      plan(msg.vertices, requested, density_threshold, universe);
+  if (p.format == WireFormat::kRawIds) return WireFormat::kRawIds;
+  MGG_REQUIRE(msg.encoding == WireFormat::kRawIds,
+              "wire::encode on an already-encoded message");
+  if (p.format == WireFormat::kBitmap) {
+    encode_bitmap(msg, pool);
+  } else {
+    encode_delta_varint(msg, p.bytes, pool);
+  }
+  msg.encoding = p.format;
+  msg.wire_items = msg.vertices.size();
+  msg.vertices.clear();
+  return p.format;
+}
+
+void decode_into(const Message& msg, util::PodVector<VertexT>& out) {
+  const std::size_t base = out.size();
+  if (msg.encoding == WireFormat::kRawIds) {
+    out.insert(out.end(), msg.vertices.begin(), msg.vertices.end());
+    return;
+  }
   const std::size_t n = msg.wire_items;
   const std::uint8_t* data = msg.wire.data();
   const std::size_t size = msg.wire.size();
   std::size_t pos = 0;
-  msg.vertices.resize(n);
+  out.resize(base + n);
+  VertexT* ids = out.data() + base;
   if (msg.encoding == WireFormat::kBitmap) {
     const std::uint32_t n_items = get_u32(data, size, pos);
     const std::uint32_t n_words = get_u32(data, size, pos);
@@ -308,7 +297,7 @@ void decode(Message& msg) {
               "wire: bitmap header item count mismatch");
     MGG_CHECK(pos + static_cast<std::size_t>(n_words) * 8 == size,
               Status::kInternal, "wire: bitmap payload size mismatch");
-    std::size_t out = 0;
+    std::size_t i = 0;
     for (std::uint32_t w = 0; w < n_words; ++w) {
       std::uint64_t word = 0;
       for (int b = 0; b < 8; ++b) {
@@ -318,13 +307,13 @@ void decode(Message& msg) {
       const std::uint64_t word_base = static_cast<std::uint64_t>(w) * 64;
       while (word != 0) {
         const int bit = std::countr_zero(word);
-        MGG_CHECK(out < n, Status::kInternal,
+        MGG_CHECK(i < n, Status::kInternal,
                   "wire: bitmap has more set bits than items");
-        msg.vertices[out++] = static_cast<VertexT>(word_base + bit);
+        ids[i++] = static_cast<VertexT>(word_base + bit);
         word &= word - 1;
       }
     }
-    MGG_CHECK(out == n, Status::kInternal,
+    MGG_CHECK(i == n, Status::kInternal,
               "wire: bitmap has fewer set bits than items");
   } else {
     const std::uint64_t n_header = get_varint(data, size, pos);
@@ -332,14 +321,26 @@ void decode(Message& msg) {
               "wire: varint header item count mismatch");
     std::int64_t prev = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      prev += unzigzag(get_varint(data, size, pos));
+      // A delta beyond +-(2^32 - 1) lands outside VertexT from any
+      // in-range prev; rejecting it first keeps the sum from
+      // overflowing int64 on a corrupt 10-byte code.
+      const std::int64_t delta = unzigzag(get_varint(data, size, pos));
+      MGG_CHECK(delta >= -0xFFFFFFFFll && delta <= 0xFFFFFFFFll,
+                Status::kInternal, "wire: decoded vertex out of VertexT range");
+      prev += delta;
       MGG_CHECK(prev >= 0 && prev <= 0xFFFFFFFFll, Status::kInternal,
                 "wire: decoded vertex out of VertexT range");
-      msg.vertices[i] = static_cast<VertexT>(prev);
+      ids[i] = static_cast<VertexT>(prev);
     }
     MGG_CHECK(pos == size, Status::kInternal,
               "wire: trailing bytes after varint payload");
   }
+}
+
+void decode(Message& msg) {
+  if (msg.encoding == WireFormat::kRawIds) return;
+  msg.vertices.clear();
+  decode_into(msg, msg.vertices);
   msg.encoding = WireFormat::kRawIds;
   msg.wire.clear();
   msg.wire_items = 0;
@@ -485,17 +486,7 @@ void CommBus::push(int src, int dst, Message message) {
         // pushes (and direct cross-node pushes when off).
         (staged || !cross_node ? intra_bytes_ : inter_bytes_)
             .fetch_add(bytes, std::memory_order_relaxed);
-        switch (msg.encoding) {
-          case WireFormat::kBitmap:
-            wire_bytes_bitmap_.fetch_add(bytes, std::memory_order_relaxed);
-            break;
-          case WireFormat::kDeltaVarint:
-            wire_bytes_delta_.fetch_add(bytes, std::memory_order_relaxed);
-            break;
-          default:
-            wire_bytes_raw_.fetch_add(bytes, std::memory_order_relaxed);
-            break;
-        }
+        count_wire_bytes(msg.encoding, bytes);
         // Counted per *pushed* message, not per wire::encode call: a
         // broadcast proto is encoded once but cloned to every peer,
         // and each clone is decoded on its receiver — counting here
@@ -545,39 +536,33 @@ int CommBus::elect_gateway(int src, int dst) const {
   return base;
 }
 
+void CommBus::count_wire_bytes(WireFormat format, std::size_t bytes) {
+  switch (format) {
+    case WireFormat::kBitmap:
+      wire_bytes_bitmap_.fetch_add(bytes, std::memory_order_relaxed);
+      break;
+    case WireFormat::kDeltaVarint:
+      wire_bytes_delta_.fetch_add(bytes, std::memory_order_relaxed);
+      break;
+    default:
+      wire_bytes_raw_.fetch_add(bytes, std::memory_order_relaxed);
+      break;
+  }
+}
+
 void CommBus::stage_relay(int src, int dst, int gateway,
                           const Message& msg) {
-  RelayEntry entry;
-  {
-    std::lock_guard<std::mutex> lock(relay_mutex_);
-    if (!relay_entry_pool_.empty()) {
-      entry = std::move(relay_entry_pool_.back());
-      relay_entry_pool_.pop_back();
-    }
-  }
-  entry.src = src;
-  entry.dst = dst;
-  entry.tag = msg.tag;
-  entry.vertex_slots = msg.vertex_slots;
-  entry.value_slots = msg.value_slots;
-  entry.was_encoded = msg.encoding != WireFormat::kRawIds;
-  if (entry.was_encoded) {
-    // The sender compressed its bucket before the intra-node hop; the
-    // gateway must decode to merge. Decode a scratch copy here (the
-    // delivered message must stay encoded — the receiver's drain path
-    // decodes and charges it exactly as in flat mode) and charge the
-    // gateway's decode kernel at flush time.
-    Message scratch;
-    scratch.encoding = msg.encoding;
-    scratch.wire = msg.wire;
-    scratch.wire_items = msg.wire_items;
-    wire::decode(scratch);
-    entry.vertices = std::move(scratch.vertices);
-  } else {
-    entry.vertices = msg.vertices;
-  }
+  // The gateway merges decoded IDs, so an encoded bucket is decoded
+  // straight into the ledger (its gateway_decode kernel is charged at
+  // flush); the delivered message stays encoded for the receiver's
+  // drain, which decodes and charges it exactly as in flat mode.
   std::lock_guard<std::mutex> lock(relay_mutex_);
-  relay_[gateway].push_back(std::move(entry));
+  RelayLedger& ledger = relay_[gateway];
+  const std::size_t offset = ledger.ids.size();
+  wire::decode_into(msg, ledger.ids);
+  ledger.records.push_back({src, dst, msg.tag, msg.vertex_slots,
+                            msg.value_slots, offset, msg.size(),
+                            msg.encoding != WireFormat::kRawIds});
 }
 
 void CommBus::flush_relays() {
@@ -587,51 +572,46 @@ void CommBus::flush_relays() {
   // in; the lock is belt-and-braces against misuse.
   std::lock_guard<std::mutex> lock(relay_mutex_);
   for (std::size_t g = 0; g < relay_.size(); ++g) {
-    auto& entries = relay_[g];
-    if (entries.empty()) continue;
+    auto& [records, ids] = relay_[g];
+    if (records.empty()) continue;
     // Deterministic flush order regardless of comm-stream scheduling:
     // groups by (dst, tag), senders within a group by src — the same
     // tag-sorted (src_gpu, tag) order the receiver's combine uses.
-    std::sort(entries.begin(), entries.end(),
-              [](const RelayEntry& a, const RelayEntry& b) {
+    std::sort(records.begin(), records.end(),
+              [](const RelayRecord& a, const RelayRecord& b) {
                 if (a.dst != b.dst) return a.dst < b.dst;
                 if (a.tag != b.tag) return a.tag < b.tag;
                 return a.src < b.src;
               });
     vgpu::Device& gw = machine_->device(static_cast<int>(g));
-    for (const RelayEntry& e : entries) {
-      if (e.was_encoded) {
-        gw.add_kernel_cost(0, e.vertices.size(), 1, 1.0, "gateway_decode",
+    for (const RelayRecord& r : records) {
+      if (r.encoded) {
+        gw.add_kernel_cost(0, r.items, 1, 1.0, "gateway_decode",
                            vgpu::TraceCategory::kCombine);
       }
     }
-    for (std::size_t i = 0; i < entries.size();) {
-      std::size_t j = i;
-      std::size_t staged_items = 0;
-      while (j < entries.size() && entries[j].dst == entries[i].dst &&
-             entries[j].tag == entries[i].tag) {
-        staged_items += entries[j].vertices.size();
-        ++j;
-      }
-      const int dst = entries[i].dst;
+    for (std::size_t i = 0; i < records.size();) {
+      const RelayRecord& head = records[i];
+      const int dst = head.dst;
       merge_scratch_.clear();
-      merge_scratch_.reserve(staged_items);
-      for (std::size_t k = i; k < j; ++k) {
-        for (const VertexT v : entries[k].vertices) {
-          merge_scratch_.push_back(v);
-        }
+      std::size_t j = i;
+      for (; j < records.size() && records[j].dst == dst &&
+             records[j].tag == head.tag;
+           ++j) {
+        const VertexT* part = ids.data() + records[j].offset;
+        merge_scratch_.insert(merge_scratch_.end(), part,
+                              part + records[j].items);
       }
-      if (two_level_.combine == TwoLevelPolicy::Combine::kDedupMin) {
-        // The surviving key set of the (src, tag)-ordered min-combine
-        // is exactly the sorted unique set; sorting also makes the
-        // merged sequence ascending, so the bitmap re-encode is
-        // admissible when the density pays.
-        std::sort(merge_scratch_.begin(), merge_scratch_.end());
-        const auto last =
-            std::unique(merge_scratch_.begin(), merge_scratch_.end());
-        merge_scratch_.resize(
-            static_cast<std::size_t>(last - merge_scratch_.begin()));
-      }
+      const std::size_t staged_items = merge_scratch_.size();
+      // The surviving key set of the (src, tag)-ordered per-vertex
+      // combine (first-writer / min / sum / OR — every in-tree
+      // primitive's) is exactly the sorted unique set; sorting also
+      // makes the merged sequence ascending, so a bitmap is
+      // admissible when the density pays.
+      std::sort(merge_scratch_.begin(), merge_scratch_.end());
+      merge_scratch_.erase(
+          std::unique(merge_scratch_.begin(), merge_scratch_.end()),
+          merge_scratch_.end());
       const std::size_t merged_n = merge_scratch_.size();
       gateway_merges_.fetch_add(1, std::memory_order_relaxed);
       gateway_dedup_items_.fetch_add(staged_items - merged_n,
@@ -639,27 +619,26 @@ void CommBus::flush_relays() {
       // The merge pass touches every staged vertex once.
       gw.add_kernel_cost(0, staged_items, 1, 1.0, "gateway_merge",
                          vgpu::TraceCategory::kCombine);
-      // Model the merged payload: the surviving vertices, one
-      // associate entry of each slot per survivor (the combined
-      // winners), re-encoded once against the destination node's
-      // hosted universe.
-      relay_scratch_.recycle();
-      relay_scratch_.set_layout(entries[i].vertex_slots,
-                                entries[i].value_slots, merged_n);
-      std::copy(merge_scratch_.begin(), merge_scratch_.end(),
-                relay_scratch_.vertices.begin());
-      const WireFormat applied = wire::encode(
-          relay_scratch_, two_level_.wire_format,
-          two_level_.density_threshold, two_level_.node_universe[dst],
-          host_pool_);
-      if (applied != WireFormat::kRawIds) {
+      // Price the merged payload without building it: the surviving
+      // vertices sized in the format wire::encode would pick against
+      // the destination node's hosted universe, plus one associate
+      // entry of each slot per survivor (the combined winners).
+      const wire::WirePlan merged = wire::plan(
+          merge_scratch_, two_level_.wire_format,
+          two_level_.density_threshold, two_level_.node_universe[dst]);
+      if (merged.format != WireFormat::kRawIds) {
         gw.add_kernel_cost(0, merged_n, 1, 1.0,
-                           applied == WireFormat::kBitmap
+                           merged.format == WireFormat::kBitmap
                                ? "wire_encode_bitmap"
                                : "wire_encode_varint",
                            vgpu::TraceCategory::kCombine);
       }
-      const std::size_t bytes = relay_scratch_.payload_bytes();
+      const std::size_t bytes =
+          merged.bytes +
+          merged_n * (static_cast<std::size_t>(head.vertex_slots) *
+                          sizeof(VertexT) +
+                      static_cast<std::size_t>(head.value_slots) *
+                          sizeof(ValueT));
       // The gateway hop is a first-class fault-injection surface,
       // retried and backed off like any direct push.
       double backoff_s = 0.0;
@@ -675,24 +654,11 @@ void CommBus::flush_relays() {
                        "push_inter_node", dst);
       machine_->interconnect().record_transfer(bytes);
       inter_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-      switch (applied) {
-        case WireFormat::kBitmap:
-          wire_bytes_bitmap_.fetch_add(bytes, std::memory_order_relaxed);
-          break;
-        case WireFormat::kDeltaVarint:
-          wire_bytes_delta_.fetch_add(bytes, std::memory_order_relaxed);
-          break;
-        default:
-          wire_bytes_raw_.fetch_add(bytes, std::memory_order_relaxed);
-          break;
-      }
+      count_wire_bytes(merged.format, bytes);
       i = j;
     }
-    for (RelayEntry& e : entries) {
-      e.vertices.clear();
-      relay_entry_pool_.push_back(std::move(e));
-    }
-    entries.clear();
+    records.clear();
+    ids.clear();
   }
 }
 
@@ -833,15 +799,12 @@ void CommBus::reset() {
   epoch_.fetch_add(1, std::memory_order_acq_rel);
   {
     // Drop any staged relay buckets the retiring run never flushed
-    // (e.g. a run aborted mid-superstep); their entry buffers return
-    // to the free list.
+    // (e.g. a run aborted mid-superstep); the ledgers keep their
+    // capacity.
     std::lock_guard<std::mutex> lock(relay_mutex_);
-    for (auto& entries : relay_) {
-      for (RelayEntry& e : entries) {
-        e.vertices.clear();
-        relay_entry_pool_.push_back(std::move(e));
-      }
-      entries.clear();
+    for (RelayLedger& ledger : relay_) {
+      ledger.records.clear();
+      ledger.ids.clear();
     }
   }
   for (int d = 0; d < machine_->num_devices(); ++d) {

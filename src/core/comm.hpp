@@ -223,27 +223,44 @@ struct Message {
 
 namespace wire {
 
-/// Encode `msg.vertices` in place per `requested` (kAuto applies the
-/// density heuristic: bitmap when the bucket holds at least
+/// A wire-format decision and the vertex-payload size it yields.
+struct WirePlan {
+  WireFormat format = WireFormat::kRawIds;  ///< never kAuto
+  std::size_t bytes = 0;  ///< vertex bytes on the wire in `format`
+};
+
+/// Decide how `ids` travel under `requested`, writing nothing — the
+/// one place the format is chosen. kAuto applies the density
+/// heuristic: bitmap when the bucket holds at least
 /// `density_threshold * universe` vertices *and* is strictly
-/// ascending, delta-varint otherwise). `universe` is the receiver's
+/// ascending, delta-varint otherwise. `universe` is the receiver's
 /// hosted-vertex count (the bitmap's ID space and the heuristic's
 /// denominator). Falls back format by format — bitmap -> delta-varint
 /// -> raw — whenever an encoding would be lossy (bitmap over a
-/// non-ascending sequence) or would *grow* the payload, so a
-/// compressed message is never larger than its raw form. Returns the
-/// format actually applied; the caller charges the encode kernel when
-/// it is not kRawIds. Deterministic: a pure function of the vertex
-/// sequence and the arguments — `pool` only parallelizes the byte
-/// production (disjoint output ranges computed up front), it never
-/// changes a single emitted byte or the format decision.
+/// non-ascending sequence) or would not *shrink* the payload, so a
+/// compressed payload is always smaller than its raw form. Empty
+/// buckets and kRawIds requests plan raw.
+WirePlan plan(std::span<const VertexT> ids, WireFormat requested,
+              double density_threshold, std::size_t universe);
+
+/// Encode `msg.vertices` in place in the format plan() picks. Returns
+/// that format; the caller charges the encode kernel when it is not
+/// kRawIds. On kRawIds the message is untouched. Deterministic: a pure
+/// function of the vertex sequence and the arguments — `pool` only
+/// parallelizes the byte production (disjoint output ranges computed
+/// up front), it never changes a single emitted byte or the format.
 WireFormat encode(Message& msg, WireFormat requested,
                   double density_threshold, std::size_t universe,
                   util::ThreadPool* pool = nullptr);
 
-/// Restore `msg.vertices` from `msg.wire` (exact original sequence)
-/// and reset the message to kRawIds. No-op on raw messages. Throws
+/// Append `msg`'s vertex sequence to `out`: the decoded wire payload
+/// (exact original order) for a compressed message, a copy of
+/// `msg.vertices` for a raw one. `msg` is not modified. Throws
 /// Error(kInternal) on a corrupt wire payload.
+void decode_into(const Message& msg, util::PodVector<VertexT>& out);
+
+/// Restore `msg.vertices` from `msg.wire` via decode_into and reset
+/// the message to kRawIds. No-op on raw messages.
 void decode(Message& msg);
 
 }  // namespace wire
@@ -263,31 +280,20 @@ struct WireStats {
 /// (docs/architecture.md §14). Installed per run by the enactor when
 /// Config::two_level_combine is on and the machine has a node
 /// hierarchy; a default-constructed policy (enabled == false) is the
-/// flat path.
+/// flat path. The gateway always dedup-merges: duplicate vertex IDs
+/// collapse to one entry whose associates the receiver's per-vertex
+/// combine (first-writer / min / sum / OR — every in-tree
+/// primitive's) would reduce to one winner anyway.
 struct TwoLevelPolicy {
   bool enabled = false;
-  /// How the gateway merges the node's staged buckets before the
-  /// inter-node hop. kDedupMin models the real relay: duplicate vertex
-  /// IDs collapse to one entry whose associates are combined in the
-  /// deterministic tag-sorted (src_gpu, tag) order (first-writer /
-  /// min / sum / OR — whatever the receiving primitive's per-vertex
-  /// combine is), so the merged payload is exactly what a receiver
-  /// combining the parts would have produced. kConcat opts out for a
-  /// primitive whose cross-sender payloads cannot be combined at a
-  /// relay: buckets concatenate in src order and only the re-encode
-  /// saves bytes.
-  enum class Combine { kDedupMin, kConcat };
-  Combine combine = Combine::kDedupMin;
-  /// Wire format for the gateway's single inter-node push (the
-  /// re-encode); usually Config::wire_format.
+  /// Wire format the gateway's single inter-node push is priced in;
+  /// usually Config::wire_format.
   WireFormat wire_format = WireFormat::kRawIds;
-  /// kAuto density switch point for the re-encode.
+  /// kAuto density switch point for that pricing.
   double density_threshold = 1.0 / 16;
   /// Per destination *device*: the hosted-vertex universe of its whole
   /// node (sum of sub(q).num_total() over the node's devices) — the
-  /// density denominator for the gateway's re-encode, per the
-  /// tentpole's "bitmap density judged against the destination node's
-  /// hosted universe".
+  /// bitmap density denominator for the merged hop.
   std::vector<std::size_t> node_universe;
 };
 
@@ -383,11 +389,13 @@ class CommBus {
   /// Call only between runs — after reset(), before any push. With an
   /// enabled policy, a cross-node push is *staged*: the sender pays the
   /// fast intra-node hop to its node's gateway for the destination
-  /// node (Interconnect::gateway) and the vertex IDs are recorded in
-  /// the gateway's relay ledger; the message itself is still delivered
-  /// to the destination inbox unchanged, so combining, results, and
-  /// every item-shaped counter are bit-identical to the flat path. The
-  /// deferred inter-node cost is realized by flush_relays().
+  /// node (Interconnect::gateway) and its vertex IDs (decoded if the
+  /// bucket was compressed) are appended to the gateway's relay
+  /// ledger, which exists only to price the inter-node hop; the
+  /// message itself is still delivered to the destination inbox
+  /// unchanged, so combining, results, and every item-shaped counter
+  /// are bit-identical to the flat path. The deferred inter-node cost
+  /// is realized by flush_relays().
   void set_two_level(TwoLevelPolicy policy);
   bool two_level_enabled() const noexcept {
     return two_level_enabled_.load(std::memory_order_relaxed);
@@ -406,15 +414,15 @@ class CommBus {
 
   /// Realize the gateways' modeled work for the staged cross-node
   /// pushes of the closing superstep: per (gateway, destination, tag),
-  /// merge the staged buckets (dedup per the policy), charge the merge
-  /// (and any decode of compressed staged payloads) as gateway
-  /// kernels, re-encode once against the destination node's universe,
-  /// and charge the single inter-node transfer (fault-injected and
-  /// retried like any push, items = 0 — the items were counted once on
-  /// the staged hop). Call exactly once per superstep, after every
-  /// sender's comm stream has synchronized (the superstep-close
-  /// barrier completion), from one thread. Throws like a push on a
-  /// permanent gateway-link fault or retry exhaustion.
+  /// sort-unique the staged IDs, charge the merge (and any decode of
+  /// compressed staged payloads) as gateway kernels, size the merged
+  /// payload with wire::plan against the destination node's universe
+  /// (no bytes are written), and charge the single inter-node transfer
+  /// (fault-injected and retried like any push, items = 0 — the items
+  /// were counted once on the staged hop). Call exactly once per
+  /// superstep, after every sender's comm stream has synchronized (the
+  /// superstep-close barrier completion), from one thread. Throws like
+  /// a push on a permanent gateway-link fault or retry exhaustion.
   void flush_relays();
 
   /// Link-class split of all payload bytes ever pushed (monotone, like
@@ -457,18 +465,22 @@ class CommBus {
   void decode_batch(int dst, std::vector<Message>& batch);
 
   /// One sender's staged cross-node bucket awaiting its gateway's
-  /// flush: the decoded vertex IDs plus the layout needed to model the
-  /// merged payload's bytes.
-  struct RelayEntry {
+  /// flush: where its decoded IDs sit in the gateway's ID buffer, plus
+  /// the layout needed to price the merged payload's associates.
+  struct RelayRecord {
     int src = -1;
     int dst = -1;
     int tag = 0;
     int vertex_slots = 0;
     int value_slots = 0;
-    /// Decoded vertex IDs (a compressed staged payload is decoded at
-    /// staging time; the decode is charged to the gateway at flush).
-    util::PodVector<VertexT> vertices;
-    bool was_encoded = false;
+    std::size_t offset = 0;  ///< first ID in RelayLedger::ids
+    std::size_t items = 0;
+    bool encoded = false;  ///< staged compressed: flush charges gateway_decode
+  };
+  /// A gateway's staged buckets for the current superstep.
+  struct RelayLedger {
+    std::vector<RelayRecord> records;
+    util::PodVector<VertexT> ids;
   };
 
   /// Fault consultation + bounded retry for one modeled transfer on
@@ -479,6 +491,9 @@ class CommBus {
 
   /// Record one staged cross-node push in the gateway's ledger.
   void stage_relay(int src, int dst, int gateway, const Message& msg);
+
+  /// Add `bytes` to the wire-stats counter of `format`.
+  void count_wire_bytes(WireFormat format, std::size_t bytes);
 
   vgpu::Machine* machine_;
   /// Run stamp; pushes submitted under an older epoch are dropped at
@@ -506,16 +521,13 @@ class CommBus {
   /// is only read when it is set, and only set between runs.
   std::atomic<bool> two_level_enabled_{false};
   TwoLevelPolicy two_level_;
-  /// Per-gateway staged buckets for the current superstep, plus a
-  /// free list so steady-state staging reuses entry buffers. Guarded
-  /// by relay_mutex_ (staging runs on the senders' comm streams).
+  /// Per-gateway ledgers for the current superstep; they keep their
+  /// capacity across supersteps. Guarded by relay_mutex_ (staging runs
+  /// on the senders' comm streams).
   std::mutex relay_mutex_;
-  std::vector<std::vector<RelayEntry>> relay_;
-  std::vector<RelayEntry> relay_entry_pool_;
-  /// Flush-only scratch (flush runs single-threaded in the
-  /// superstep-close barrier): the merged payload being modeled, and
-  /// the merge workspace.
-  Message relay_scratch_;
+  std::vector<RelayLedger> relay_;
+  /// Flush-only merge workspace (flush runs single-threaded in the
+  /// superstep-close barrier).
   util::PodVector<VertexT> merge_scratch_;
   util::ThreadPool* host_pool_ = nullptr;
 };

@@ -179,7 +179,6 @@ vgpu::RunStats EnactorBase::enact() {
     TwoLevelPolicy policy;
     if (two_level_active_) {
       policy.enabled = true;
-      policy.combine = gateway_combine();
       policy.wire_format = cfg.wire_format;
       policy.density_threshold = cfg.wire_density_threshold;
       policy.node_universe.assign(static_cast<std::size_t>(n_), 0);

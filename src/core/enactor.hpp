@@ -207,17 +207,6 @@ class EnactorBase {
   /// otherwise a mid-core OOM propagates as a clean typed Error.
   virtual bool core_replayable() const { return false; }
 
-  /// How a two-level gateway may merge this primitive's staged
-  /// cross-node buckets before the inter-node hop (docs §14). The
-  /// default dedup-merge is byte-honest whenever the receiver's
-  /// per-vertex combine is reducible at a relay — first-writer (BFS),
-  /// min (SSSP/CC), sum (PR/BC), OR (multi-source masks) — which is
-  /// every in-tree primitive. Override to kConcat for a primitive
-  /// whose cross-sender payloads must all reach the receiver verbatim.
-  virtual TwoLevelPolicy::Combine gateway_combine() const {
-    return TwoLevelPolicy::Combine::kDedupMin;
-  }
-
   // ------------------------------------------------------------------
   // Services available to primitives.
   // ------------------------------------------------------------------

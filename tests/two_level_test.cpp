@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <iterator>
 #include <set>
 #include <string>
 #include <utility>
@@ -264,6 +266,76 @@ TEST(TwoLevel, SsspBitIdenticalToFlatOnWideCluster) {
     expect_link_partition(two.stats, label);
     EXPECT_GT(two.stats.gateway_merges, 0u) << label;
   }
+}
+
+TEST(TwoLevel, CountersArePinned) {
+  // Golden two-level byte split, wire split, gateway counters and
+  // launches on the 2x2 cluster. The relay ledger only prices bytes,
+  // so any change to how it stages, merges or sizes the gateway's
+  // inter-node hop must reproduce these exactly.
+  struct Golden {
+    const char* label;
+    std::uint64_t inter_node_bytes, intra_node_bytes;
+    std::uint64_t gateway_merges, gateway_dedup_items;
+    std::uint64_t wire_bytes_raw, wire_bytes_bitmap, wire_bytes_delta;
+    std::uint64_t total_launches;
+  };
+  const Golden golden[] = {
+      {"bfs mode=bsp_barrier fmt=raw",
+       1952, 2528, 10, 55, 4480, 0, 0, 67},
+      {"bfs mode=bsp_barrier fmt=auto",
+       1210, 1676, 10, 55, 0, 1244, 1642, 143},
+      {"bfs mode=event_pipeline fmt=raw",
+       1952, 2528, 10, 55, 4480, 0, 0, 67},
+      {"bfs mode=event_pipeline fmt=auto",
+       1210, 1676, 10, 55, 0, 1244, 1642, 143},
+      {"sssp mode=bsp_barrier fmt=raw",
+       4296, 5744, 28, 123, 10040, 0, 0, 165},
+      {"sssp mode=bsp_barrier fmt=auto",
+       2694, 3882, 28, 123, 0, 2028, 4548, 386},
+      {"sssp mode=event_pipeline fmt=raw",
+       4296, 5744, 28, 123, 10040, 0, 0, 165},
+      {"sssp mode=event_pipeline fmt=auto",
+       2694, 3882, 28, 123, 0, 2028, 4548, 386},
+  };
+  const auto g = test::small_rmat();
+  const auto wg = test::small_weighted_rmat();
+  std::size_t row = 0;
+  for (const bool sssp : {false, true}) {
+    for (const core::SyncMode mode :
+         {core::SyncMode::kBspBarrier, core::SyncMode::kEventPipeline}) {
+      for (const core::WireFormat f :
+           {core::WireFormat::kRawIds, core::WireFormat::kAuto}) {
+        auto machine = vgpu::Machine::create_cluster("k40", 2, 2);
+        core::Config cfg = cluster_config(4, mode, f, true);
+        vgpu::RunStats s;
+        if (sssp) {
+          s = prim::run_sssp(wg, test::first_connected_vertex(wg), machine,
+                             cfg)
+                  .stats;
+        } else {
+          cfg.mark_predecessors = true;
+          s = prim::run_bfs(g, test::first_connected_vertex(g), machine, cfg)
+                  .stats;
+        }
+        ASSERT_LT(row, std::size(golden));
+        const Golden& want = golden[row++];
+        const std::string label = std::string(sssp ? "sssp" : "bfs") +
+                                  " mode=" + to_string(mode) +
+                                  " fmt=" + to_string(f);
+        ASSERT_EQ(label, want.label);
+        EXPECT_EQ(s.inter_node_bytes, want.inter_node_bytes) << label;
+        EXPECT_EQ(s.intra_node_bytes, want.intra_node_bytes) << label;
+        EXPECT_EQ(s.gateway_merges, want.gateway_merges) << label;
+        EXPECT_EQ(s.gateway_dedup_items, want.gateway_dedup_items) << label;
+        EXPECT_EQ(s.wire_bytes_raw, want.wire_bytes_raw) << label;
+        EXPECT_EQ(s.wire_bytes_bitmap, want.wire_bytes_bitmap) << label;
+        EXPECT_EQ(s.wire_bytes_delta, want.wire_bytes_delta) << label;
+        EXPECT_EQ(s.total_launches, want.total_launches) << label;
+      }
+    }
+  }
+  EXPECT_EQ(row, std::size(golden));
 }
 
 TEST(TwoLevel, SingleNodeMachineIsANoOp) {

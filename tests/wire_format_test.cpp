@@ -12,7 +12,9 @@
 // paths must survive.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -25,6 +27,7 @@
 #include "primitives/pagerank.hpp"
 #include "primitives/sssp.hpp"
 #include "test_support.hpp"
+#include "util/error.hpp"
 #include "vgpu/cost.hpp"
 
 namespace mgg {
@@ -255,14 +258,30 @@ Message make_msg(std::vector<VertexT> vertices) {
   return msg;
 }
 
+/// wire::encode at the default density threshold, checked against
+/// wire::plan: the plan names the format encode applies, and its size
+/// is exactly the encoded vertex payload.
+WireFormat planned_encode(Message& msg, WireFormat requested,
+                          std::size_t universe) {
+  const core::wire::WirePlan plan =
+      core::wire::plan(msg.vertices, requested, 1.0 / 16, universe);
+  const WireFormat applied =
+      core::wire::encode(msg, requested, 1.0 / 16, universe);
+  EXPECT_EQ(plan.format, applied) << "requested=" << to_string(requested);
+  EXPECT_EQ(plan.bytes, applied == WireFormat::kRawIds
+                            ? msg.vertices.size() * sizeof(VertexT)
+                            : msg.wire.size())
+      << "requested=" << to_string(requested);
+  return applied;
+}
+
 /// Encode under `requested`, assert the applied format, decode, and
 /// require the exact original sequence back.
 void round_trip(std::vector<VertexT> vertices, WireFormat requested,
                 WireFormat expect_applied, std::size_t universe = 1u << 20) {
   Message msg = make_msg(vertices);
   const std::size_t raw_bytes = vertices.size() * sizeof(VertexT);
-  const WireFormat applied =
-      core::wire::encode(msg, requested, 1.0 / 16, universe);
+  const WireFormat applied = planned_encode(msg, requested, universe);
   EXPECT_EQ(applied, expect_applied)
       << "requested=" << to_string(requested) << " n=" << vertices.size();
   EXPECT_EQ(msg.size(), vertices.size());
@@ -281,8 +300,7 @@ void round_trip(std::vector<VertexT> vertices, WireFormat requested,
 TEST(WireFormat, EncodeEmptyBucketIsRawNoop) {
   for (const WireFormat f : kAllFormats) {
     Message msg = make_msg({});
-    EXPECT_EQ(core::wire::encode(msg, f, 1.0 / 16, 1024),
-              WireFormat::kRawIds);
+    EXPECT_EQ(planned_encode(msg, f, 1024), WireFormat::kRawIds);
     EXPECT_TRUE(msg.empty());
     EXPECT_EQ(msg.wire.size(), 0u);
   }
@@ -341,8 +359,7 @@ TEST(WireFormat, VarintFallsBackToRawWhenCompressionInflates) {
     hostile.push_back(i % 2 == 0 ? 0xFFFFFFF0u + (i & 3) : i);
   }
   Message msg = make_msg(hostile);
-  EXPECT_EQ(core::wire::encode(msg, WireFormat::kDeltaVarint, 1.0 / 16,
-                               1u << 20),
+  EXPECT_EQ(planned_encode(msg, WireFormat::kDeltaVarint, 1u << 20),
             WireFormat::kRawIds);
   // The message is untouched raw — no wire buffer, vertices intact.
   EXPECT_EQ(msg.encoding, WireFormat::kRawIds);
@@ -385,9 +402,9 @@ TEST(WireFormat, ClusterUniverseDensityEvaluation) {
   const std::vector<VertexT> sparse = {3, 97, 511, 700, 2048, 4000};
   Message a = make_msg(sparse);
   Message b = make_msg(sparse);
-  EXPECT_EQ(core::wire::encode(a, WireFormat::kAuto, 1.0 / 16, kGpuUniverse),
+  EXPECT_EQ(planned_encode(a, WireFormat::kAuto, kGpuUniverse),
             WireFormat::kDeltaVarint);
-  EXPECT_EQ(core::wire::encode(b, WireFormat::kAuto, 1.0 / 16, kNodeUniverse),
+  EXPECT_EQ(planned_encode(b, WireFormat::kAuto, kNodeUniverse),
             WireFormat::kDeltaVarint);
   ASSERT_EQ(a.wire.size(), b.wire.size());
   for (std::size_t i = 0; i < a.wire.size(); ++i) {
@@ -429,6 +446,70 @@ TEST(WireFormat, DecodeRejectsCorruptPayloads) {
             WireFormat::kBitmap);
   bm.wire[8] ^= 0xFF;  // flip 8 bits of the first word
   EXPECT_THROW(core::wire::decode(bm), Error);
+}
+
+TEST(WireFormat, DecodeSurvivesMutatedPayloads) {
+  // Seeded mutation sweep over the decoder, which reads bytes that
+  // crossed a link: each round encodes a random bucket as bitmap or
+  // varint, then flips, truncates or extends its payload, or splices
+  // in a maximal 10-byte varint code (a zigzag delta of 2^63 - 1, which
+  // must be rejected before it is added to the running ID). Decode must
+  // either return wire_items IDs or reject the payload with kInternal —
+  // any other exception, or a sanitizer report, fails.
+  std::mt19937_64 rng(0x5EED);
+  std::size_t decoded = 0;
+  std::size_t rejected = 0;
+  for (int round = 0; round < 4000; ++round) {
+    const bool bitmap = round % 2 == 0;
+    std::vector<VertexT> ids(8 + rng() % 200);
+    VertexT v = static_cast<VertexT>(rng() % 64);
+    for (VertexT& id : ids) {
+      // Bitmap needs strictly ascending IDs; varint gets an arbitrary
+      // order whose deltas still encode below 4 bytes each.
+      id = bitmap ? (v += 1 + static_cast<VertexT>(rng() % 4))
+                  : static_cast<VertexT>(rng() % 4096);
+    }
+    Message msg = make_msg(ids);
+    const WireFormat f =
+        bitmap ? WireFormat::kBitmap : WireFormat::kDeltaVarint;
+    ASSERT_EQ(core::wire::encode(msg, f, 1.0 / 16, 1u << 20), f);
+    switch (rng() % 4) {
+      case 0:
+        for (int k = 1 + static_cast<int>(rng() % 4); k > 0; --k) {
+          msg.wire[rng() % msg.wire.size()] ^=
+              static_cast<std::uint8_t>(1 + rng() % 255);
+        }
+        break;
+      case 1:
+        msg.wire.resize(rng() % msg.wire.size());
+        break;
+      case 2: {
+        const std::size_t at = 1 + rng() % msg.wire.size();
+        msg.wire.resize(std::max(msg.wire.size(), at + 10));
+        msg.wire[at] = 0xFE;
+        std::fill_n(msg.wire.begin() + static_cast<std::ptrdiff_t>(at + 1), 8,
+                    std::uint8_t{0xFF});
+        msg.wire[at + 9] = 0x01;
+        break;
+      }
+      default:
+        for (int k = 1 + static_cast<int>(rng() % 8); k > 0; --k) {
+          msg.wire.push_back(static_cast<std::uint8_t>(rng()));
+        }
+        break;
+    }
+    try {
+      core::wire::decode(msg);
+      EXPECT_EQ(msg.vertices.size(), ids.size()) << "round " << round;
+      ++decoded;
+    } catch (const Error& e) {
+      ASSERT_EQ(e.status(), Status::kInternal)
+          << "round " << round << ": " << e.what();
+      ++rejected;
+    }
+  }
+  EXPECT_GT(decoded, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 TEST(WireFormat, PooledMessagesRecycleWireState) {
