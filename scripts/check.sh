@@ -4,7 +4,7 @@
 # layer, the enactor's control threads, fault paths, and the stream
 # stress tests), then an AddressSanitizer + UndefinedBehaviorSanitizer
 # build of the multi-source, serve, stream-stress, fault-recovery,
-# chaos and sync-pipeline suites.
+# chaos, sync-pipeline, wire, two-level and partition suites.
 # Usage: scripts/check.sh [build-dir] [tsan-build-dir] [asan-build-dir]
 set -euo pipefail
 
@@ -126,7 +126,7 @@ cmake -B "$TSAN_BUILD" -S . \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
 cmake --build "$TSAN_BUILD" -j --target mgg_tests
 
-echo "==> tsan: core / fault / stream-stress suites"
+echo "==> tsan: core / fault / stream-stress / partition suites"
 # The suites defined in core_test.cpp, operator_pipeline_test.cpp,
 # fault_test.cpp and stream_stress_test.cpp — the code paths where
 # threads actually race (dedup bitmaps and route scratch are touched
@@ -163,6 +163,10 @@ TSAN_FILTER+=':Supervisor.*:ServeChaos.*'
 # while flush_relays drains it from the closing control thread and
 # bumps the link-split/gateway atomics.
 TSAN_FILTER+=':TwoLevel.*:Hierarchy.*'
+# Partition build: one pool task per part writes its own SubGraph and
+# border row while sibling tasks read the shared graph and assignment.
+TSAN_FILTER+=':*PartitionerSweep.*:Partitioner.*:PartitionedGraph.*'
+TSAN_FILTER+=':*DuplicationSweep.*'
 "$TSAN_BUILD/tests/mgg_tests" --gtest_filter="$TSAN_FILTER"
 
 echo "==> asan+ubsan: build mgg_tests with -fsanitize=address,undefined"
@@ -172,7 +176,7 @@ cmake -B "$ASAN_BUILD" -S . \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
 cmake --build "$ASAN_BUILD" -j --target mgg_tests
 
-echo "==> asan+ubsan: multi-source / serve / stop-path / wire / two-level suites"
+echo "==> asan+ubsan: multi-source / serve / stop-path / wire / two-level / partition suites"
 # The multi-source primitives read vertex-major MsSssp rows in padded
 # 16-byte groups and reset only the occupied slots; the serve and
 # stream-stress suites reuse one Problem across batches of different
@@ -186,6 +190,10 @@ ASAN_FILTER+=':ChaosTsan.*:SyncPipeline.*'
 # feeds it corrupt payloads), and the gateway ledger slices a flat ID
 # buffer by record offsets.
 ASAN_FILTER+=':WireFormat.*:TwoLevel.*:Hierarchy.*'
+# The partition build copies row ranges into reserved sub-CSRs and
+# indexes per-part markers and remap tables by global vertex ID.
+ASAN_FILTER+=':*PartitionerSweep.*:Partitioner.*:PartitionedGraph.*'
+ASAN_FILTER+=':*DuplicationSweep.*'
 "$ASAN_BUILD/tests/mgg_tests" --gtest_filter="$ASAN_FILTER"
 
 echo "==> check.sh: all green"

@@ -2,6 +2,7 @@
 
 #include "util/error.hpp"
 #include "util/log.hpp"
+#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace mgg::core {
@@ -17,6 +18,10 @@ ProblemBase::~ProblemBase() {
 std::shared_ptr<const part::PartitionedGraph> ProblemBase::partition(
     const graph::Graph& g, const Config& config) {
   util::WallTimer timer;
+  // PartitionedGraph::build runs one task per part on the shared pool,
+  // sized exactly as EnactorBase::enact sizes it.
+  util::ThreadPool::shared().set_workers(
+      util::ThreadPool::resolve_width(config.host_threads));
   const auto partitioner = part::make_partitioner(config.partitioner);
   auto assignment = partitioner->assign(g, config.num_gpus, config.seed);
   auto pg = std::make_shared<part::PartitionedGraph>(

@@ -53,7 +53,14 @@ struct SubGraph {
 class PartitionedGraph {
  public:
   /// Partition `g` across `num_parts` GPUs with the given assignment
-  /// (from a Partitioner) and duplication strategy.
+  /// (from a Partitioner) and duplication strategy. Each part is built
+  /// by its own task on util::ThreadPool::shared() (at the pool's
+  /// current width), in one fused pass over its hosted rows: copy the
+  /// edges as contiguous ranges, count the border row, and (1-hop)
+  /// mark the proxies, whose columns are then remapped to local IDs.
+  /// Tasks write only part-indexed state, so the tables are identical
+  /// at every pool width. One part copies `g` whole under identity
+  /// tables.
   static PartitionedGraph build(const graph::Graph& g,
                                 std::vector<int> assignment, int num_parts,
                                 Duplication duplication);

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <deque>
 #include <numeric>
-#include <set>
 
+#include "partition/border_scan.hpp"
 #include "util/error.hpp"
 #include "util/random.hpp"
 
@@ -194,22 +194,27 @@ PartitionMetrics measure_partition(const Graph& g,
   m.part_edges.assign(num_parts, 0);
   m.border_out.assign(num_parts, 0);
 
-  // Distinct (source part, remote vertex) pairs: the paper's |B_i| —
-  // many cut edges to one remote vertex count once.
-  std::vector<std::set<VertexT>> border_sets(num_parts);
   for (VertexT v = 0; v < g.num_vertices; ++v) {
     const int pv = assignment[v];
     ++m.part_vertices[pv];
     m.part_edges[pv] += g.degree(v);
     for (const VertexT u : g.neighbors(v)) {
-      if (assignment[u] != pv) {
-        ++m.edge_cut;
-        border_sets[pv].insert(u);
-      }
+      if (assignment[u] != pv) ++m.edge_cut;
     }
   }
+  // The paper's |B_i|, counted exactly as PartitionedGraph::build does:
+  // many cut edges to one remote vertex count once.
+  std::vector<int> mark(g.num_vertices, -1);
+  std::vector<std::size_t> border_row(num_parts);
   for (int p = 0; p < num_parts; ++p) {
-    m.border_out[p] = border_sets[p].size();
+    std::fill(border_row.begin(), border_row.end(), 0);
+    for (VertexT v = 0; v < g.num_vertices; ++v) {
+      if (assignment[v] == p) {
+        scan_border_row(g.neighbors(v), p, assignment, mark, border_row);
+      }
+    }
+    m.border_out[p] = std::accumulate(border_row.begin(), border_row.end(),
+                                      std::size_t{0});
   }
 
   const auto imbalance = [&](const std::vector<std::size_t>& loads) {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/error.hpp"
+
 namespace mgg::util {
 
 ThreadPool& ThreadPool::shared() {
@@ -107,7 +109,11 @@ void ThreadPool::worker_main() {
 
 void ThreadPool::run_chunks_impl(std::size_t n_chunks, InvokeFn invoke,
                                  void* ctx) {
-  if (n_chunks > kMaxChunks) n_chunks = kMaxChunks;  // plan caps anyway
+  // Plan through chunk_count (or parallel_for): chunks past the cap
+  // would have no error slot, so an unplanned count is rejected rather
+  // than silently dropping work.
+  MGG_REQUIRE(n_chunks <= kMaxChunks,
+              "run_chunks: more chunks than ThreadPool::kMaxChunks");
   std::unique_lock<std::mutex> job(job_mutex_, std::try_to_lock);
   if (!job.owns_lock()) {
     // Nested or contended: run inline. Deterministic either way.

@@ -83,8 +83,10 @@ class ThreadPool {
   }
 
   /// Run body(chunk) for every chunk in [0, n_chunks); blocks until
-  /// all chunks completed. See the header comment for the error and
-  /// nesting protocol.
+  /// all chunks completed. n_chunks must come from chunk_count (at most
+  /// kMaxChunks); a larger count throws kInvalidArgument and runs
+  /// nothing. See the header comment for the error and nesting
+  /// protocol.
   template <typename F>
   void run_chunks(std::size_t n_chunks, F&& body) {
     if (n_chunks == 0) return;

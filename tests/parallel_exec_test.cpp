@@ -246,6 +246,24 @@ TEST(ParallelExec, NestedRunChunksFallsBackInline) {
   pool.set_workers(1);
 }
 
+TEST(ParallelExec, RunChunksRejectsUnplannedChunkCount) {
+  // A count that did not come from chunk_count is refused whole: no
+  // chunk runs, rather than chunks kMaxChunks and up being dropped.
+  util::ThreadPool& pool = util::ThreadPool::shared();
+  pool.set_workers(4);
+  std::atomic<std::size_t> ran{0};
+  auto count = [&](std::size_t) {
+    ran.fetch_add(1, std::memory_order_relaxed);
+  };
+  EXPECT_THROW(pool.run_chunks(util::ThreadPool::kMaxChunks + 1, count),
+               Error);
+  EXPECT_EQ(ran.load(), 0u);
+  // The cap itself is a valid plan, and the pool is still usable.
+  pool.run_chunks(util::ThreadPool::kMaxChunks, count);
+  EXPECT_EQ(ran.load(), util::ThreadPool::kMaxChunks);
+  pool.set_workers(1);
+}
+
 TEST(ParallelExec, ChunkPlanIsPureFunctionOfWorkSize) {
   using util::ThreadPool;
   // The plan never depends on the worker count: these are static
