@@ -2,8 +2,12 @@
 // its family's structural signature, and is deterministic.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "graph/datasets.hpp"
 #include "graph/properties.hpp"
+#include "test_support.hpp"
 
 namespace mgg {
 namespace {
@@ -31,11 +35,51 @@ TEST(Datasets, DeterministicPerSeed) {
 }
 
 TEST(Datasets, AllBuildAndAreWeighted) {
+  // Golden digests (test::digest: vertex count, row offsets, columns and
+  // weight bits) of every analog built here at the default seed,
+  // recorded from the serial graph build. The parallel build must
+  // reproduce each graph byte for byte.
+  const std::map<std::string, std::uint64_t> golden = {
+      {"soc-LiveJournal1", 0xda15bad3e4f6772eull},
+      {"hollywood-2009", 0x1903d145fec51ef9ull},
+      {"soc-orkut", 0x26aa9cd5df7a68b7ull},
+      {"soc-sinaweibo", 0xe87acafa8dc2508cull},
+      {"soc-twitter-2010", 0x3465b4bae925dce2ull},
+      {"indochina-2004", 0x6b65cd2b218a3a0bull},
+      {"uk-2002", 0xfd1e01bf6c034b61ull},
+      {"arabic-2005", 0xfad6385de0754d33ull},
+      {"uk-2005", 0xc0bb82bb58c11a79ull},
+      {"webbase-2001", 0xa9309d4458056a4full},
+      {"rmat_n20_512", 0x828d8de85cfcc2c4ull},
+      {"rmat_n21_256", 0x79bdf035e5d4bbb6ull},
+      {"rmat_n22_128", 0x46bc262ed8865176ull},
+      {"rmat_n23_64", 0x86eb35c37887614cull},
+      {"rmat_n24_32", 0xd57b33e53d34aa0dull},
+      {"rmat_n25_16", 0x2bdaa41c690d4fd3ull},
+      {"kron_n24_32", 0x7e2723746f9a5c75ull},
+      {"kron_n23_16", 0x4e859f189f7edfbcull},
+      {"kron_n25_16", 0x988f7fad86780f35ull},
+      {"kron_n25_32", 0x675f22f09ccdca2aull},
+      {"kron_n23_32", 0x36f5b203ba0021e7ull},
+      {"rmat_2Mv_128Me", 0x9f7a83c6ab256db2ull},
+      {"coPapersCiteseer", 0xe5f737510c87aba8ull},
+      {"com-orkut", 0xc5d15527c54309b5ull},
+      {"com-Friendster", 0xe58adcfea5057ecbull},
+      {"twitter-mpi", 0xa4f8f6e20b7f3345ull},
+      {"twitter-rv", 0xbc110ff4e87616c2ull},
+      {"sk-2005", 0x4afd60faab47d776ull},
+      {"road-grid", 0x50e5663109dcca18ull},
+  };
   for (const auto& spec : graph::dataset_registry()) {
     // Keep test time bounded: skip the largest analogs here (they are
     // exercised by the benches).
     if (spec.paper_edges > 2e9) continue;
     const auto ds = graph::build_dataset(spec.name);
+    const auto it = golden.find(spec.name);
+    ASSERT_NE(it, golden.end()) << spec.name;
+    EXPECT_EQ(test::digest(ds.graph), it->second)
+        << "{\"" << spec.name << "\", 0x" << std::hex
+        << test::digest(ds.graph) << "ull},";
     EXPECT_GT(ds.graph.num_vertices, 0u) << spec.name;
     EXPECT_GT(ds.graph.num_edges, 0u) << spec.name;
     EXPECT_TRUE(ds.graph.has_values()) << spec.name;

@@ -2,6 +2,10 @@
 // transpose, generators, and property measurement.
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <optional>
+#include <utility>
+
 #include "baselines/cpu_reference.hpp"
 #include "graph/csr.hpp"
 #include "graph/generators.hpp"
@@ -245,6 +249,87 @@ TEST(Generators, WeightsInRange) {
   for (const ValueT w : coo.values) {
     EXPECT_GE(w, 0.0f);
     EXPECT_LE(w, 64.0f);
+  }
+}
+
+TEST(Generators, RawOutputIsPinned) {
+  // Golden digests (test::digest) of every generator's raw edge list at
+  // test size, recorded from the serial generators.
+  auto rmat = graph::make_rmat(10, 8, graph::RmatParams::gtgraph(), 3);
+  graph::assign_random_weights(rmat, 0, 64, 11);
+  const std::pair<const char*, GraphCoo> cases[] = {
+      {"rmat-gtgraph", std::move(rmat)},
+      {"rmat-merrill",
+       graph::make_rmat(10, 8, graph::RmatParams::merrill(), 3)},
+      {"kronecker",
+       graph::make_kronecker(10, 8, graph::RmatParams::gtgraph(), 4)},
+      {"social", graph::make_social(2000, 6, 5)},
+      {"web", graph::make_web(40, 32, 6, 0.15, 6)},
+      {"road", graph::make_road_grid(30, 20, 0.05, 7)},
+      {"small-world", graph::make_small_world(500, 3, 0.1, 8)},
+      {"uniform", graph::make_uniform_random(1000, 5000, 9)},
+  };
+  constexpr std::uint64_t kGolden[] = {
+      0x11feb4613f09f3afull, 0xab7ff150bb5cc203ull, 0x000ef15c3a43ffb1ull,
+      0xa395602b8024a83bull, 0x5a51d3e87c88837eull, 0x22b5204ad302866dull,
+      0x151104c0e45e991bull, 0xe607039ef3a809b7ull};
+  static_assert(std::size(kGolden) == std::size(cases));
+  for (std::size_t i = 0; i < std::size(cases); ++i) {
+    EXPECT_EQ(test::digest(cases[i].second), kGolden[i])
+        << cases[i].first << ": 0x" << std::hex
+        << test::digest(cases[i].second);
+  }
+}
+
+TEST(Coo, SixtyFourBitCleanIsPinned) {
+  // 64-bit IDs whose high and low halves both vary, with duplicates that
+  // carry distinct weights and a few self loops, so the clean has to
+  // order on every key bit and keep each first occurrence's weight.
+  graph::Coo64 coo;
+  coo.num_vertices = std::uint64_t{1} << 40;
+  util::Rng rng(21);
+  const auto draw = [&rng] {
+    const std::uint64_t high = rng.next_below(16) << 36;
+    return high | rng.next_below(8);
+  };
+  for (int e = 0; e < 3000; ++e) {
+    const std::uint64_t u = draw();
+    const std::uint64_t v = e % 50 == 0 ? u : draw();
+    coo.add_edge(u, v, static_cast<float>(e));
+  }
+  coo.to_undirected_clean();
+  EXPECT_EQ(test::digest(coo), 0x3c3ea0f225492f37ull)
+      << "0x" << std::hex << test::digest(coo);
+}
+
+TEST(Generators, ParallelBuildIsWidthInvariant) {
+  // Generate -> clean -> CSR for rmat (weighted) and kronecker at scale
+  // 14, which spans several chunks of each stage, at every pool width.
+  // Each build must equal the width-1 build and the digest recorded
+  // from the serial build.
+  const auto build = [](bool rmat) {
+    auto coo = rmat ? graph::make_rmat(14, 16, graph::RmatParams::gtgraph(), 1)
+                    : graph::make_kronecker(14, 16,
+                                            graph::RmatParams::gtgraph(), 2);
+    if (rmat) graph::assign_random_weights(coo, 0, 64, 3);
+    return graph::build_undirected(std::move(coo));
+  };
+  constexpr std::uint64_t kGolden[] = {0x1b12d9db90a0be6cull,
+                                       0xe42323a6fbe5e78dull};
+  for (const bool rmat : {true, false}) {
+    SCOPED_TRACE(rmat ? "rmat" : "kronecker");
+    std::optional<graph::Graph> serial;
+    for (const int w : {1, 2, 4, 8}) {
+      const test::PoolWidth width(w);
+      const auto g = build(rmat);
+      if (!serial) {
+        EXPECT_EQ(test::digest(g), kGolden[rmat ? 0 : 1])
+            << "0x" << std::hex << test::digest(g);
+        serial = g;
+      } else {
+        EXPECT_TRUE(g == *serial) << "width " << w;
+      }
+    }
   }
 }
 

@@ -223,32 +223,8 @@ TEST(PartitionedGraph, BorderMatchesMeasuredMetrics) {
 
 /// FNV-1a over every PartitionedGraph field: the assignment, the
 /// convertion table, each sub's CSR and tables, and the border matrix.
-class Digest {
- public:
-  template <typename T>
-  void pod(const T& v) {
-    bytes(&v, sizeof v);
-  }
-  template <typename T>
-  void vec(const std::vector<T>& v) {
-    pod(v.size());
-    bytes(v.data(), v.size() * sizeof(T));
-  }
-  std::uint64_t value() const { return h_; }
-
- private:
-  void bytes(const void* p, std::size_t n) {
-    const auto* b = static_cast<const unsigned char*>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      h_ ^= b[i];
-      h_ *= 1099511628211ull;
-    }
-  }
-  std::uint64_t h_ = 1469598103934665603ull;
-};
-
 std::uint64_t digest(const PartitionedGraph& pg) {
-  Digest d;
+  test::Digest d;
   d.pod(pg.num_parts());
   d.pod(static_cast<int>(pg.duplication()));
   d.pod(pg.global_vertices());
@@ -299,20 +275,6 @@ void expect_same_tables(const PartitionedGraph& a, const PartitionedGraph& b) {
   }
 }
 
-/// Sets the shared pool's width for a scope and restores it after.
-class PoolWidth {
- public:
-  explicit PoolWidth(int w) : before_(util::ThreadPool::shared().workers()) {
-    util::ThreadPool::shared().set_workers(w);
-  }
-  ~PoolWidth() { util::ThreadPool::shared().set_workers(before_); }
-  PoolWidth(const PoolWidth&) = delete;
-  PoolWidth& operator=(const PoolWidth&) = delete;
-
- private:
-  int before_;
-};
-
 TEST(PartitionedGraph, BuildIsPinnedAndWidthInvariant) {
   // Digests recorded from the former serial builder:
   // [partitioner][duplication: all, 1-hop][parts: 1, 2, 3, 4, 8].
@@ -352,7 +314,7 @@ TEST(PartitionedGraph, BuildIsPinnedAndWidthInvariant) {
                            ->assign(g, parts, 11);
         std::optional<PartitionedGraph> serial;
         for (const int w : {1, 2, 4, 8}) {
-          const PoolWidth width(w);
+          const test::PoolWidth width(w);
           const auto pg = PartitionedGraph::build(g, a, parts, dup);
           if (!serial) {
             EXPECT_EQ(digest(pg), kGolden[i][d][k])
@@ -378,10 +340,10 @@ TEST(PartitionedGraph, BuildsMorePartsThanPoolChunks) {
     SCOPED_TRACE(part::to_string(dup));
     std::optional<PartitionedGraph> serial;
     {
-      const PoolWidth width(1);
+      const test::PoolWidth width(1);
       serial = PartitionedGraph::build(g, a, kManyParts, dup);
     }
-    const PoolWidth width(4);
+    const test::PoolWidth width(4);
     const auto pg = PartitionedGraph::build(g, a, kManyParts, dup);
     expect_same_tables(pg, *serial);
 
