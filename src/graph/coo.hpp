@@ -7,12 +7,14 @@
 // and duplicated edges are removed."
 #pragma once
 
-#include <algorithm>
-#include <numeric>
+#include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "graph/types.hpp"
 #include "util/error.hpp"
+#include "util/parallel_algo.hpp"
+#include "util/thread_pool.hpp"
 
 namespace mgg::graph {
 
@@ -77,33 +79,42 @@ struct Coo {
 
   /// Sort edges by (src, dst) and remove duplicates, keeping the first
   /// occurrence's value (deterministic given a deterministic input order).
+  /// A stable radix sort of packed (src, dst) keys carries each edge's
+  /// index, so the first of equal edges stays first; a stable compaction
+  /// then keeps the head of each run and gathers its value. Both run on
+  /// the shared pool with the same output at every width.
   void remove_duplicates() {
-    std::vector<std::size_t> order(src.size());
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      if (src[a] != src[b]) return src[a] < src[b];
-      if (dst[a] != dst[b]) return dst[a] < dst[b];
-      return a < b;  // stable for value determinism
-    });
+    // Packed keys: (src, dst) order is key order.
+    using Key = std::conditional_t<sizeof(V) <= 4, std::uint64_t,
+                                   __uint128_t>;
+    constexpr int kHalf = static_cast<int>(sizeof(Key)) * 4;
+    util::ThreadPool* pool = &util::ThreadPool::shared();
+    const std::size_t n = src.size();
+    util::PodVector<Key> keys(n);
+    util::PodVector<S> order(n);
+    util::parallel_for(pool, n, util::kScanGrain,
+                       [&](std::size_t begin, std::size_t end, std::size_t) {
+                         for (std::size_t e = begin; e < end; ++e) {
+                           keys[e] = Key{src[e]} << kHalf | Key{dst[e]};
+                           order[e] = static_cast<S>(e);
+                         }
+                       });
+    util::radix_sort_pairs(keys, order, pool);
 
-    std::vector<V> new_src, new_dst;
-    std::vector<W> new_val;
-    new_src.reserve(src.size());
-    new_dst.reserve(dst.size());
-    if (has_values()) new_val.reserve(values.size());
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      const std::size_t e = order[i];
-      if (!new_src.empty() && new_src.back() == src[e] &&
-          new_dst.back() == dst[e]) {
-        continue;
-      }
-      new_src.push_back(src[e]);
-      new_dst.push_back(dst[e]);
-      if (has_values()) new_val.push_back(values[e]);
-    }
-    src = std::move(new_src);
-    dst = std::move(new_dst);
-    values = std::move(new_val);
+    std::vector<W> kept_values(values.size());
+    const auto run_head = [&](std::size_t i) {
+      return i == 0 || keys[i] != keys[i - 1];
+    };
+    const std::size_t kept = util::parallel_compact(
+        pool, n, run_head, [&](std::size_t i, std::size_t rank) {
+          src[rank] = static_cast<V>(keys[i] >> kHalf);
+          dst[rank] = static_cast<V>(keys[i]);
+          if (!kept_values.empty()) kept_values[rank] = values[order[i]];
+        });
+    src.resize(kept);
+    dst.resize(kept);
+    if (has_values()) kept_values.resize(kept);
+    values = std::move(kept_values);
   }
 
   /// Full cleanup pipeline from §VII-A: drop self loops, make the graph

@@ -12,6 +12,7 @@
 #include "graph/coo.hpp"
 #include "graph/types.hpp"
 #include "util/error.hpp"
+#include "util/thread_pool.hpp"
 
 namespace mgg::graph {
 
@@ -30,6 +31,9 @@ struct Csr {
   bool has_values() const noexcept { return !edge_values.empty(); }
 
   /// Build from COO via counting sort on source vertices. O(V + E).
+  /// The scatter keeps each row's edges in COO order, so a COO that is
+  /// already sorted by (src, dst) — what Coo's cleanup leaves — yields
+  /// sorted rows, which sort_neighbor_lists then only checks.
   static Csr from_coo(const Coo<V, S, W>& coo, bool sort_neighbors = true) {
     coo.validate();
     Csr g;
@@ -54,26 +58,44 @@ struct Csr {
     return g;
   }
 
-  /// Sort each vertex's neighbor list (by destination), keeping values
-  /// paired with their edges.
+  /// Sort each vertex's neighbor list by (destination, value), keeping
+  /// values paired with their edges. Rows run in parallel on the shared
+  /// pool; a row that is already in order is left as it is, and the
+  /// others sort through one scratch buffer per chunk of rows.
   void sort_neighbor_lists() {
-    for (std::size_t v = 0; v < num_vertices; ++v) {
-      const S begin = row_offsets[v];
-      const S end = row_offsets[v + 1];
-      if (end - begin < 2) continue;
-      if (!has_values()) {
-        std::sort(col_indices.begin() + begin, col_indices.begin() + end);
-        continue;
+    constexpr std::size_t kRowGrain = std::size_t{1} << 12;
+    const auto in_order = [this](S e) {
+      if (col_indices[e - 1] != col_indices[e]) {
+        return col_indices[e - 1] < col_indices[e];
       }
-      std::vector<std::pair<V, W>> tmp;
-      tmp.reserve(end - begin);
-      for (S e = begin; e < end; ++e) tmp.emplace_back(col_indices[e], edge_values[e]);
-      std::sort(tmp.begin(), tmp.end());
-      for (S e = begin; e < end; ++e) {
-        col_indices[e] = tmp[e - begin].first;
-        edge_values[e] = tmp[e - begin].second;
-      }
-    }
+      return !has_values() || !(edge_values[e] < edge_values[e - 1]);
+    };
+    util::parallel_for(
+        &util::ThreadPool::shared(), num_vertices, kRowGrain,
+        [&](std::size_t first, std::size_t last, std::size_t) {
+          std::vector<std::pair<V, W>> scratch;
+          for (std::size_t v = first; v < last; ++v) {
+            const S begin = row_offsets[v];
+            const S end = row_offsets[v + 1];
+            S e = begin + 1;
+            while (e < end && in_order(e)) ++e;
+            if (e >= end) continue;
+            if (!has_values()) {
+              std::sort(col_indices.begin() + begin,
+                        col_indices.begin() + end);
+              continue;
+            }
+            scratch.clear();
+            for (e = begin; e < end; ++e) {
+              scratch.emplace_back(col_indices[e], edge_values[e]);
+            }
+            std::sort(scratch.begin(), scratch.end());
+            for (e = begin; e < end; ++e) {
+              col_indices[e] = scratch[e - begin].first;
+              edge_values[e] = scratch[e - begin].second;
+            }
+          }
+        });
   }
 
   S degree(V v) const {

@@ -1,14 +1,48 @@
 #include "graph/generators.hpp"
 
 #include <cmath>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "util/error.hpp"
 #include "util/random.hpp"
+#include "util/thread_pool.hpp"
 
 namespace mgg::graph {
 
 using util::Rng;
+
+namespace {
+
+/// Edges per chunk of the parallel fixed-draw generators.
+constexpr std::size_t kEdgeGrain = std::size_t{1} << 15;
+
+/// m edges on n vertices, where edge(rng) makes one edge from exactly
+/// draws_per_edge draws. Edge e therefore starts at draw
+/// draws_per_edge * e of Rng(seed): each chunk jumps its own copy of
+/// the stream there and fills its slice of src/dst in place, so the
+/// edge list is the one-stream serial loop's at every pool width.
+template <typename EdgeFn>
+GraphCoo generate_fixed_draws(VertexT n, SizeT m, std::uint64_t seed,
+                              std::uint64_t draws_per_edge, EdgeFn edge) {
+  GraphCoo coo;
+  coo.num_vertices = n;
+  coo.src.resize(m);
+  coo.dst.resize(m);
+  util::parallel_for(
+      &util::ThreadPool::shared(), m, kEdgeGrain,
+      [&](std::size_t begin, std::size_t end, std::size_t) {
+        Rng rng(seed);
+        rng.discard(draws_per_edge * begin);
+        for (std::size_t e = begin; e < end; ++e) {
+          std::tie(coo.src[e], coo.dst[e]) = edge(rng);
+        }
+      });
+  return coo;
+}
+
+}  // namespace
 
 GraphCoo make_rmat(int scale, double edge_factor, const RmatParams& params,
                    std::uint64_t seed, double noise) {
@@ -19,13 +53,8 @@ GraphCoo make_rmat(int scale, double edge_factor, const RmatParams& params,
 
   const VertexT n = VertexT{1} << scale;
   const SizeT m = static_cast<SizeT>(edge_factor * static_cast<double>(n));
-
-  GraphCoo coo;
-  coo.num_vertices = n;
-  coo.reserve(m);
-
-  Rng rng(seed);
-  for (SizeT e = 0; e < m; ++e) {
+  // Each level draws four noise factors and one quadrant pick.
+  return generate_fixed_draws(n, m, seed, 5 * scale, [&](Rng& rng) {
     VertexT u = 0, v = 0;
     // GTgraph perturbs the quadrant probabilities at every level with
     // multiplicative noise, then renormalizes, to avoid exact
@@ -53,9 +82,8 @@ GraphCoo make_rmat(int scale, double edge_factor, const RmatParams& params,
         v |= 1;
       }
     }
-    coo.add_edge(u, v);
-  }
-  return coo;
+    return std::pair{u, v};
+  });
 }
 
 GraphCoo make_uniform_random(VertexT num_vertices, SizeT num_edges,
@@ -226,13 +254,10 @@ GraphCoo make_kronecker(int scale, double edges_per_vertex,
   const VertexT n = VertexT{1} << scale;
   const SizeT m =
       static_cast<SizeT>(edges_per_vertex * static_cast<double>(n));
-  GraphCoo coo;
-  coo.num_vertices = n;
-  coo.reserve(m);
-  Rng rng(seed);
   // Noise-free per-level descent: exactly the R-MAT recursion with the
-  // initiator probabilities fixed at every level (Graph500 style).
-  for (SizeT e = 0; e < m; ++e) {
+  // initiator probabilities fixed at every level (Graph500 style), one
+  // draw per level.
+  return generate_fixed_draws(n, m, seed, scale, [&](Rng& rng) {
     VertexT u = 0, v = 0;
     for (int level = 0; level < scale; ++level) {
       const double r = rng.next_double();
@@ -248,9 +273,8 @@ GraphCoo make_kronecker(int scale, double edges_per_vertex,
         v |= 1;
       }
     }
-    coo.add_edge(u, v);
-  }
-  return coo;
+    return std::pair{u, v};
+  });
 }
 
 GraphCoo make_chain(VertexT num_vertices) {

@@ -35,6 +35,12 @@ struct RmatParams {
 /// edge_factor * 2^scale edges, per-level parameter noise.
 /// Returned edges are directed and may contain self loops/duplicates;
 /// run Coo::to_undirected_clean() (as the paper does) before use.
+/// Every edge draws exactly 5 * scale values, so chunks of edges are
+/// generated in parallel on the shared pool, each from its own jump
+/// (Rng::discard) into the one seeded stream: the edge list is the
+/// same at every pool width. make_kronecker does the same with scale
+/// draws per edge; the other generators draw a variable number of
+/// values per item and stay serial.
 GraphCoo make_rmat(int scale, double edge_factor,
                    const RmatParams& params = RmatParams::gtgraph(),
                    std::uint64_t seed = 1, double noise = 0.1);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -10,6 +11,11 @@
 namespace mgg::graph {
 
 namespace {
+
+/// Largest vertex count a GraphCoo can hold.
+constexpr long long kMaxVertices = std::numeric_limits<VertexT>::max();
+/// Cap on the edges reserved from a header's declared entry count.
+constexpr long long kMaxReserve = 1 << 20;
 
 std::string lower(std::string s) {
   std::transform(s.begin(), s.end(), s.begin(),
@@ -59,10 +65,14 @@ GraphCoo read_matrix_market(std::istream& in) {
   ss >> rows >> cols >> entries;
   MGG_CHECK(rows > 0 && cols > 0 && entries >= 0, Status::kIoError,
             "bad size line");
+  MGG_CHECK(std::max(rows, cols) <= kMaxVertices, Status::kIoError,
+            "matrix dimension exceeds the vertex ID range");
 
   GraphCoo coo;
   coo.num_vertices = static_cast<VertexT>(std::max(rows, cols));
-  coo.reserve(static_cast<std::size_t>(entries) * (symmetric ? 2 : 1));
+  // The entry count is untrusted until the entries are read.
+  coo.reserve(static_cast<std::size_t>(std::min(entries, kMaxReserve)) *
+              (symmetric ? 2 : 1));
   for (long long e = 0; e < entries; ++e) {
     MGG_CHECK(next_content_line(in, line), Status::kIoError,
               "truncated entry list");
@@ -124,6 +134,9 @@ GraphCoo read_edge_list(std::istream& in) {
     es >> u >> v;
     MGG_CHECK(u >= 0 && v >= 0, Status::kIoError,
               "bad edge list line: " + line);
+    // num_vertices = max ID + 1 must itself be a VertexT.
+    MGG_CHECK(u < kMaxVertices && v < kMaxVertices, Status::kIoError,
+              "vertex ID exceeds the vertex ID range: " + line);
     const bool has_w = static_cast<bool>(es >> w);
     if (first_edge) {
       weighted = has_w;

@@ -74,6 +74,15 @@ class Rng {
   /// Bernoulli draw with probability p.
   bool next_bool(double p) { return next_double() < p; }
 
+  /// Advance the stream by n draws, exactly as n calls of next_u64()
+  /// would, in O(log n). The xoshiro step is linear over GF(2), so it is
+  /// a 256x256 bit matrix T; each set bit j of n applies the cached
+  /// power T^(2^j) to the state. The 64 powers are built once per
+  /// process, on the first nonzero jump. A generator that draws a fixed
+  /// number of values per item uses this to start each chunk of items
+  /// at its own offset of one seeded stream.
+  void discard(std::uint64_t n);
+
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));

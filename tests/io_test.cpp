@@ -1,8 +1,12 @@
 // Unit tests for MatrixMarket and edge-list I/O.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <random>
 #include <sstream>
+#include <string>
 
+#include "graph/csr.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 
@@ -132,6 +136,114 @@ TEST(EdgeList, FileRoundTrip) {
   EXPECT_EQ(loaded.num_edges(), 1u);
   EXPECT_FLOAT_EQ(loaded.values[0], 4.0f);
   EXPECT_THROW(graph::load_edge_list("/nonexistent/file"), Error);
+}
+
+/// Seeded mutation sweep over a text loader, which reads untrusted
+/// bytes: each round flips bytes, truncates, extends with random
+/// tokens, or splices a vertex ID near 2^32 - 1 over a number of a
+/// valid file. The mutated file must either load, validate, clean and
+/// build a CSR, or be rejected with an mgg::Error whose status names a
+/// bad input (io_error or unsupported); any other exception, or a
+/// sanitizer report, fails.
+void fuzz_loader(const std::string& seed_text,
+                 const std::function<GraphCoo(std::istream&)>& read) {
+  // Endpoints at the top of the 32-bit ID range: a COO over ~2^32
+  // vertices parses and cleans, but its CSR row offsets alone would
+  // take 16 GiB, so CSRs are built only below this vertex count.
+  constexpr VertexT kCsrVertexCap = 1u << 20;
+  constexpr const char* kSplices[] = {
+      "4294967294", "4294967295", "4294967296", "4294967297",
+      "18446744073709551615", "9223372036854775807", "-1", "0"};
+  constexpr char kAlphabet[] = "0123456789 \n-.e%#";
+  std::mt19937_64 rng(0xF022);
+  std::size_t loaded = 0;
+  std::size_t rejected = 0;
+  for (int round = 0; round < 1500; ++round) {
+    std::string text = seed_text;
+    for (int k = 1 + static_cast<int>(rng() % 3); k > 0; --k) {
+      switch (rng() % 4) {
+        case 0:
+          text[rng() % text.size()] =
+              rng() % 2 ? kAlphabet[rng() % (sizeof kAlphabet - 1)]
+                        : static_cast<char>(rng());
+          break;
+        case 1:
+          text.resize(rng() % text.size() + 1);
+          break;
+        case 2:
+          for (int t = 1 + static_cast<int>(rng() % 4); t > 0; --t) {
+            text += std::to_string(rng() % 4096) + (rng() % 3 ? " " : "\n");
+          }
+          break;
+        default: {
+          // Overwrite one number with a splice value.
+          const auto digit = [&text](std::size_t i) {
+            return i < text.size() && text[i] >= '0' && text[i] <= '9';
+          };
+          std::size_t at = rng() % text.size();
+          while (at < text.size() && !digit(at)) ++at;
+          std::size_t end = at;
+          while (digit(end)) ++end;
+          text.replace(at, end - at, kSplices[rng() % std::size(kSplices)]);
+          break;
+        }
+      }
+    }
+    std::istringstream in(text);
+    GraphCoo coo;
+    try {
+      coo = read(in);
+    } catch (const Error& e) {
+      ASSERT_TRUE(e.status() == Status::kIoError ||
+                  e.status() == Status::kUnsupported)
+          << "round " << round << ": " << e.what();
+      ++rejected;
+      continue;
+    }
+    // A loaded graph is a valid one: nothing below may throw.
+    coo.validate();
+    const std::size_t raw_edges = coo.src.size();
+    coo.to_undirected_clean();
+    EXPECT_LE(coo.src.size(), 2 * raw_edges) << "round " << round;
+    if (coo.num_vertices <= kCsrVertexCap) {
+      const auto g = graph::Graph::from_coo(coo);
+      EXPECT_EQ(g.num_edges, coo.num_edges()) << "round " << round;
+    }
+    ++loaded;
+  }
+  EXPECT_GT(loaded, 0u);
+  EXPECT_GT(rejected, 0u);
+}
+
+/// A small weighted rmat edge list, written by `write`.
+std::string seed_file(void (*write)(std::ostream&, const GraphCoo&),
+                      bool weighted) {
+  auto coo = graph::make_rmat(5, 3, graph::RmatParams::gtgraph(), 17);
+  if (weighted) graph::assign_random_weights(coo, 1, 9, 17);
+  std::ostringstream out;
+  write(out, coo);
+  return out.str();
+}
+
+TEST(MatrixMarket, SurvivesMutatedInput) {
+  for (const bool weighted : {true, false}) {
+    SCOPED_TRACE(weighted ? "real" : "pattern");
+    fuzz_loader(seed_file(graph::write_matrix_market, weighted),
+                [](std::istream& in) { return graph::read_matrix_market(in); });
+  }
+  // The symmetric form expands entries on load.
+  std::string symmetric = seed_file(graph::write_matrix_market, true);
+  symmetric.replace(symmetric.find("general"), 7, "symmetric");
+  fuzz_loader(symmetric,
+              [](std::istream& in) { return graph::read_matrix_market(in); });
+}
+
+TEST(EdgeList, SurvivesMutatedInput) {
+  for (const bool weighted : {true, false}) {
+    SCOPED_TRACE(weighted ? "weighted" : "unweighted");
+    fuzz_loader(seed_file(graph::write_edge_list, weighted),
+                [](std::istream& in) { return graph::read_edge_list(in); });
+  }
 }
 
 }  // namespace

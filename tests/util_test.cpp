@@ -92,6 +92,33 @@ TEST(Rng, UniformityRoughly) {
   }
 }
 
+TEST(Rng, DiscardMatchesSequentialDraws) {
+  // A jump of n draws lands where n calls of next_u64 do, across the
+  // bit boundaries of the cached matrix powers.
+  for (const std::uint64_t n :
+       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{63},
+        std::uint64_t{64}, std::uint64_t{65}, std::uint64_t{1000},
+        std::uint64_t{5 * 17 * 4099}}) {
+    util::Rng stepped(99), jumped(99);
+    for (std::uint64_t i = 0; i < n; ++i) stepped.next_u64();
+    jumped.discard(n);
+    for (int i = 0; i < 4; ++i) {
+      EXPECT_EQ(jumped.next_u64(), stepped.next_u64()) << "n = " << n;
+    }
+  }
+  // Jumps compose, including at distances no loop could walk.
+  for (const std::uint64_t a : {(std::uint64_t{1} << 40) - 1,
+                                std::uint64_t{1} << 40,
+                                (std::uint64_t{1} << 40) + 12345}) {
+    const std::uint64_t b = (std::uint64_t{1} << 40) + 777;
+    util::Rng split(3), whole(3);
+    split.discard(a);
+    split.discard(b);
+    whole.discard(a + b);
+    for (int i = 0; i < 4; ++i) EXPECT_EQ(split.next_u64(), whole.next_u64());
+  }
+}
+
 TEST(Array1D, AllocateReleaseLifecycle) {
   util::Array1D<int> a("test");
   EXPECT_TRUE(a.empty());
